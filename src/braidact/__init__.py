@@ -35,10 +35,8 @@ from .endo import (
     Automorphism,
     Endomorphism,
     format_endomorphism,
-    get_length_cap,
     make_automorphism,
     parse_endomorphism,
-    set_length_cap,
 )
 from .errors import (
     BraidactError,
@@ -49,6 +47,7 @@ from .errors import (
     RankMismatchError,
     ResourceLimitError,
     StrandMismatchError,
+    UsageError,
     WordSyntaxError,
 )
 from .matrices import IntMatrix
@@ -58,6 +57,7 @@ from .symplectic import (
     is_symplectic,
     sl2_matrices,
     standard_form,
+    symplectic_inverse,
     verify_symplectic_generators,
 )
 from .words import FreeWord, Letter, format_word, parse_word, reduce_word
@@ -81,6 +81,7 @@ __all__ = [
     "RankMismatchError",
     "ResourceLimitError",
     "StrandMismatchError",
+    "UsageError",
     "VerificationReport",
     "WordSyntaxError",
     "artin_action",
@@ -93,7 +94,6 @@ __all__ = [
     "format_word",
     "full_twist",
     "full_twist_center_check",
-    "get_length_cap",
     "half_twist",
     "is_symplectic",
     "kernel_backend",
@@ -103,10 +103,10 @@ __all__ = [
     "parse_endomorphism",
     "parse_word",
     "reduce_word",
-    "set_length_cap",
     "sl2_matrices",
     "standard_form",
     "sturmian_g1",
+    "symplectic_inverse",
     "twist_automorphism",
     "verify_center_vanishes",
     "verify_symplectic_generators",

@@ -24,25 +24,25 @@ the rank-2 free group; see ``sturmian_g1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value
 from .braids import BraidWord
-from .endo import Automorphism, Endomorphism
+from .endo import Automorphism, Endomorphism, GeneratorTable
 from .errors import MalformedWordError, StrandMismatchError
 from .report import VerificationReport, equality_check
 from .words import FreeWord
 
 
-@dataclass(frozen=True, slots=True)
-class GenusContext:
+class GenusContext(Value):
     """Fixes a genus g >= 1 and the derived rank and strand count."""
 
-    g: int
+    __slots__ = ("g",)
 
-    def __post_init__(self):
-        if self.g < 1:
-            raise MalformedWordError(f"genus must be >= 1, got {self.g}")
+    def __init__(self, g: int):
+        if g < 1:
+            raise MalformedWordError(f"genus must be >= 1, got {g}")
+        object.__setattr__(self, "g", g)
 
     @property
     def rank(self) -> int:
@@ -109,6 +109,12 @@ def twist_automorphism(ctx: GenusContext, index: int) -> Automorphism:
     return _twist(ctx.g, index)
 
 
+@lru_cache(maxsize=None)
+def twist_table(g: int) -> GeneratorTable:
+    """The 2g+1 twists of genus g as a fold table (letter i is t_i)."""
+    return GeneratorTable(2 * g, [_twist(g, i) for i in range(1, 2 * g + 2)])
+
+
 def braid_automorphism(ctx: GenusContext, braid: BraidWord) -> Automorphism:
     """Image of a braid word under the action homomorphism.
 
@@ -121,11 +127,7 @@ def braid_automorphism(ctx: GenusContext, braid: BraidWord) -> Automorphism:
             f"braid on {braid.strands} strands does not act at genus {ctx.g}"
             f" (need {ctx.strands})"
         )
-    out = Automorphism.identity(ctx.rank)
-    for letter in braid.letters:
-        t = _twist(ctx.g, abs(letter))
-        out = out * (t if letter > 0 else t.inverse())
-    return out
+    return twist_table(ctx.g).automorphism(braid.letters)
 
 
 def descending_cycle(ctx: GenusContext) -> BraidWord:

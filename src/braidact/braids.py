@@ -19,32 +19,31 @@ Note ``==`` on BraidWord is structural (same reduced letters); use
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import _kernels
+from ._value import Value
 from .errors import MalformedWordError, StrandMismatchError, WordSyntaxError
-from .endo import Automorphism, Endomorphism
+from .endo import Automorphism, Endomorphism, GeneratorTable
 from .words import FreeWord
 
 
-@dataclass(frozen=True, slots=True)
-class BraidWord:
+class BraidWord(Value):
     """A word in the braid group B_strands, stored freely reduced."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 2:
-            raise MalformedWordError(f"need at least 2 strands, got {self.strands}")
-        raw = tuple(int(x) for x in self.letters)
+    def __init__(self, strands: int, letters: Iterable[int] = ()):
+        if strands < 2:
+            raise MalformedWordError(f"need at least 2 strands, got {strands}")
+        raw = tuple(int(x) for x in letters)
         for x in raw:
-            if x == 0 or abs(x) >= self.strands:
+            if x == 0 or abs(x) >= strands:
                 raise MalformedWordError(
-                    f"crossing {x} is out of range for {self.strands} strands"
+                    f"crossing {x} is out of range for {strands} strands"
                 )
+        object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", _kernels.reduce_letters(raw))
 
     @classmethod
@@ -103,7 +102,6 @@ class BraidWord:
         return f"BraidWord({self.strands}, {self.letters!r})"
 
 
-@lru_cache(maxsize=None)
 def _artin_generator(strands: int, index: int) -> Automorphism:
     """The Artin automorphism of F_strands induced by one crossing."""
     n = strands
@@ -118,17 +116,20 @@ def _artin_generator(strands: int, index: int) -> Automorphism:
     return Automorphism(forward, backward)
 
 
+@lru_cache(maxsize=None)
+def _artin_table(strands: int) -> GeneratorTable:
+    return GeneratorTable(
+        strands, [_artin_generator(strands, i) for i in range(1, strands)]
+    )
+
+
 def artin_action(braid: BraidWord) -> Automorphism:
     """The automorphism of F_strands carried by a braid word.
 
     Homomorphic for the composition convention of the endo module: the
     rightmost crossing of the word acts first.
     """
-    out = Automorphism.identity(braid.strands)
-    for letter in braid.letters:
-        gen = _artin_generator(braid.strands, abs(letter))
-        out = out * (gen if letter > 0 else gen.inverse())
-    return out
+    return _artin_table(braid.strands).automorphism(braid.letters)
 
 
 def braids_equal(b1: BraidWord, b2: BraidWord) -> bool:

@@ -13,10 +13,11 @@ import argparse
 import json
 import sys
 
-from . import endo, monoid, sp4
-from .action import GenusContext, braid_automorphism, verify_center_vanishes, verify_u_braid_relations
+from . import monoid, sp4
+from .action import GenusContext, twist_table, verify_center_vanishes, verify_u_braid_relations
 from .braids import braids_equal, format_braid, parse_braid
-from .errors import BraidactError, ResourceLimitError
+from .endo import DEFAULT_LENGTH_CAP
+from .errors import BraidactError, ResourceLimitError, UsageError
 from .report import QUOTIENT_PASS, VerificationReport, merge_reports
 from .symplectic import (
     braid_matrix,
@@ -138,12 +139,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "apply":
-            if args.max_len is not None:
-                endo.set_length_cap(args.max_len)
+            cap = DEFAULT_LENGTH_CAP if args.max_len is None else args.max_len
+            if cap < 1:
+                raise UsageError(f"--max-len must be at least 1, got {cap}")
             ctx = GenusContext(args.genus)
             braid = parse_braid(args.braid, ctx.strands)
             word = parse_word(args.word, ctx.rank)
-            image = braid_automorphism(ctx, braid).apply(word)
+            image = twist_table(ctx.g).endomorphism(braid.letters, cap).apply(word, cap)
             text = format_word(image)
             print(json.dumps({"result": text}) if args.json else text)
             return 0
@@ -176,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
+            if args.max_len < 0:
+                raise UsageError(f"--max-len must be at least 0, got {args.max_len}")
             if not args.json and args.suite in ("symplectic", "all"):
                 print(f"seed: {args.seed}")
             report = _run_suite(args.suite, args.genus, args.max_len, args.seed)

@@ -5,45 +5,39 @@ applies ``e2`` first, then ``e1``, so the images of the product are
 ``e1(e2(x_k))``.  Equality of endomorphisms of a free group is equality
 of generator images, which word reduction makes a plain comparison.
 
-An Automorphism carries an explicit inverse; the pair is checked to be
-mutually inverse at construction time.  General inversion in Aut(F_n)
-is out of scope, but every map built here has a closed-form inverse.
+An Automorphism carries an inverse.  A pair given by the caller is
+checked to be mutually inverse at construction time; every other
+automorphism is derived from verified ones.  General inversion in
+Aut(F_n) is out of scope, but every map built here has a closed-form
+inverse or is a word in maps that do.
+
+A ``GeneratorTable`` evaluates words in a fixed list of verified
+generators with the sparse forward-only fold of ``braidact.fold``: it
+touches only the images each letter moves, and the inverse of the
+result, when a caller asks for it, is the fold of the inverted word.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _kernels
 from .errors import NotInverseError, RankMismatchError, WordSyntaxError
+from .fold import WordImages, fold, moved_words
 from .matrices import IntMatrix
 from .words import FreeWord, format_word, parse_word
 
 DEFAULT_LENGTH_CAP = 10**6
 
-_length_cap = DEFAULT_LENGTH_CAP
-
-
-def get_length_cap() -> int:
-    return _length_cap
-
-
-def set_length_cap(cap: int) -> None:
-    """Set the reduced-length bound enforced during substitution.
-
-    Images under braid actions can grow exponentially in word length;
-    the cap turns runaway growth into a clean ResourceLimitError.
-    """
-    global _length_cap
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
-    _length_cap = cap
-
 
 class Endomorphism:
-    """A map of F_rank determined by the images of the generators."""
+    """A map of F_rank determined by the images of the generators.
 
-    __slots__ = ("rank", "images", "_pos", "_neg")
+    The images are kept as reduced letter tuples.  Their inverses, which
+    substitution needs, are computed on first use.
+    """
+
+    __slots__ = ("rank", "_pos", "_neg")
 
     def __init__(self, rank: int, images: Sequence[FreeWord]):
         images = tuple(images)
@@ -55,9 +49,22 @@ class Endomorphism:
                     f"image {w!r} has rank {w.rank}, expected {rank}"
                 )
         self.rank = rank
-        self.images = images
         self._pos = tuple(w.letters for w in images)
-        self._neg = tuple(_kernels.invert_reduced(w.letters) for w in images)
+        self._neg = None
+
+    @classmethod
+    def _adopt(
+        cls,
+        rank: int,
+        pos: Sequence[tuple[int, ...]],
+        neg: Sequence[tuple[int, ...]] | None = None,
+    ) -> "Endomorphism":
+        """Internal: adopt reduced, validated image letters (and their inverses)."""
+        e = object.__new__(cls)
+        e.rank = rank
+        e._pos = tuple(pos)
+        e._neg = None if neg is None else tuple(neg)
+        return e
 
     @classmethod
     def identity(cls, rank: int) -> "Endomorphism":
@@ -73,13 +80,27 @@ class Endomorphism:
             ),
         )
 
+    @property
+    def images(self) -> tuple[FreeWord, ...]:
+        return tuple(FreeWord._wrap(self.rank, w) for w in self._pos)
+
+    def _inverses(self) -> tuple[tuple[int, ...], ...]:
+        if self._neg is None:
+            self._neg = tuple(_kernels.invert_reduced(w) for w in self._pos)
+        return self._neg
+
     def apply(self, word: FreeWord, cap: int | None = None) -> FreeWord:
+        """Image of ``word``; ResourceLimitError if a reduced intermediate
+        exceeds ``cap`` letters (default DEFAULT_LENGTH_CAP)."""
         if word.rank != self.rank:
             raise RankMismatchError(
                 f"cannot apply rank-{self.rank} map to rank-{word.rank} word"
             )
         letters = _kernels.substitute(
-            self._pos, self._neg, word.letters, _length_cap if cap is None else cap
+            self._pos,
+            self._inverses(),
+            word.letters,
+            DEFAULT_LENGTH_CAP if cap is None else cap,
         )
         return FreeWord._wrap(self.rank, letters)
 
@@ -93,7 +114,11 @@ class Endomorphism:
             raise RankMismatchError(
                 f"cannot compose maps of ranks {self.rank} and {other.rank}"
             )
-        return Endomorphism(self.rank, tuple(self.apply(w) for w in other.images))
+        pos, neg = self._pos, self._inverses()
+        return Endomorphism._adopt(
+            self.rank,
+            tuple(_kernels.substitute(pos, neg, w, DEFAULT_LENGTH_CAP) for w in other._pos),
+        )
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """``self.compose(other)`` applies ``other`` first."""
@@ -133,9 +158,14 @@ class Endomorphism:
 
 
 class Automorphism:
-    """An invertible Endomorphism bundled with its verified inverse."""
+    """An invertible Endomorphism bundled with its inverse.
 
-    __slots__ = ("forward", "backward")
+    The constructor checks a given pair.  An automorphism derived from
+    verified ones (a product, a power, a fold) may defer its inverse,
+    which ``backward`` then computes on first use.
+    """
+
+    __slots__ = ("forward", "_backward")
 
     def __init__(self, forward: Endomorphism, backward: Endomorphism):
         if forward.rank != backward.rank:
@@ -146,26 +176,39 @@ class Automorphism:
             (forward, backward, "forward o backward"),
             (backward, forward, "backward o forward"),
         ):
-            for k in range(1, left.rank + 1):
-                if left.apply(right.images[k - 1]).letters != (k,):
+            for k, image in enumerate(right.images, 1):
+                if left.apply(image).letters != (k,):
                     raise NotInverseError(
                         f"{name} does not fix generator {k}", generator=k
                     )
         self.forward = forward
-        self.backward = backward
+        self._backward = backward
 
     @classmethod
-    def _trusted(cls, forward: Endomorphism, backward: Endomorphism) -> "Automorphism":
-        """Internal: skip the inverse check (for products of verified maps)."""
+    def _trusted(
+        cls,
+        forward: Endomorphism,
+        backward: Endomorphism | Callable[[], Endomorphism],
+    ) -> "Automorphism":
+        """Internal: skip the inverse check (for maps derived from verified ones).
+
+        ``backward`` may be a function that computes the inverse.
+        """
         a = object.__new__(cls)
         a.forward = forward
-        a.backward = backward
+        a._backward = backward
         return a
 
     @classmethod
     def identity(cls, rank: int) -> "Automorphism":
         e = Endomorphism.identity(rank)
         return cls._trusted(e, e)
+
+    @property
+    def backward(self) -> Endomorphism:
+        if not isinstance(self._backward, Endomorphism):
+            self._backward = self._backward()
+        return self._backward
 
     @property
     def rank(self) -> int:
@@ -196,10 +239,8 @@ class Automorphism:
 
     def __pow__(self, exponent: int) -> "Automorphism":
         base = self if exponent >= 0 else self.inverse()
-        out = Automorphism.identity(self.rank)
-        for _ in range(abs(exponent)):
-            out = out * base
-        return out
+        k = abs(exponent)
+        return Automorphism._trusted(base.forward ** k, lambda: base.backward ** k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automorphism):
@@ -220,6 +261,45 @@ class Automorphism:
 
     def __str__(self) -> str:
         return format_endomorphism(self.forward)
+
+
+class GeneratorTable:
+    """A list of verified generator automorphisms, kept sparsely for the fold.
+
+    Letter ``+i`` names the i-th generator and ``-i`` its inverse; for
+    each the table keeps only the images it moves.  A letter sequence
+    evaluates to the product of its letters, the rightmost acting first.
+    """
+
+    __slots__ = ("rank", "moves")
+
+    def __init__(self, rank: int, generators: Sequence[Automorphism]):
+        self.rank = rank
+        self.moves = {}
+        for i, gen in enumerate(generators, 1):
+            if gen.rank != rank:
+                raise RankMismatchError(f"generator {i} has rank {gen.rank}, expected {rank}")
+            self.moves[i] = moved_words(gen.forward._pos)
+            self.moves[-i] = moved_words(gen.backward._pos)
+
+    def endomorphism(
+        self, letters: Sequence[int], cap: int = DEFAULT_LENGTH_CAP
+    ) -> Endomorphism:
+        """The product of the named generators.
+
+        ResourceLimitError if an image grows past ``cap`` letters at any
+        step.
+        """
+        images = fold(WordImages(self.rank, cap), self.moves, letters)
+        return Endomorphism._adopt(self.rank, images.pos, images.neg)
+
+    def automorphism(self, letters: tuple[int, ...]) -> Automorphism:
+        """The product as an automorphism; its inverse, the fold of the
+        inverted word, is computed when first asked for."""
+        return Automorphism._trusted(
+            self.endomorphism(letters),
+            lambda: self.endomorphism(_kernels.invert_reduced(letters)),
+        )
 
 
 def make_automorphism(forward: Endomorphism, backward: Endomorphism) -> Automorphism:

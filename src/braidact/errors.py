@@ -5,6 +5,10 @@ class BraidactError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(BraidactError, ValueError):
+    """A command-line argument is out of its allowed range."""
+
+
 class MalformedWordError(BraidactError, ValueError):
     """A letter sequence uses a generator index outside the declared rank."""
 

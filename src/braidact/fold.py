@@ -1,0 +1,114 @@
+"""One sparse, forward-only fold of a signed letter sequence.
+
+Every evaluation in this package has the same shape: a word in some
+generators (a braid word, an omega word) names a product of generator
+actions, and the product is wanted as the images of a basis.  Folding
+the letters left to right, the current map ``phi`` becomes
+``phi * g`` for the next generator ``g``, and
+
+    (phi * g)(x_k) = phi(g(x_k)),
+
+which differs from ``phi(x_k)`` only for the few ``x_k`` that ``g``
+moves.  So a generator table keeps, for each signed letter, just the
+moved generators and their images; a step recomputes those images from
+the current ones and leaves the rest alone.  Nothing is composed
+backwards and nothing unchanged is recomputed.
+
+The same loop serves two kinds of image:
+
+- ``WordImages``: free-group words, where a step substitutes the
+  current images into the generator's image (the twist and Artin
+  actions, on F_n);
+- ``ColumnImages``: integer column vectors, where a step replaces the
+  moved columns with integer combinations of the current ones (the
+  matrix shadow; each twist is a transvection moving one or two
+  columns).
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+from . import _kernels
+
+# A table maps a signed letter to the (0-based index, action) pairs of
+# the generators it moves.
+Moves = Mapping[int, tuple[tuple[int, object], ...]]
+
+
+def fold(images, moves: Moves, letters: Sequence[int]):
+    """Compose the actions of ``letters`` left to right into ``images``.
+
+    ``images.evaluate(action)`` computes a moved generator's new image
+    from the current images and ``images[k] = image`` installs it.  All
+    images of one step are computed before any is installed.  Returns
+    ``images``, updated in place.
+    """
+    evaluate = images.evaluate
+    for x in letters:
+        updates = [(k, evaluate(action)) for k, action in moves[x]]
+        for k, image in updates:
+            images[k] = image
+    return images
+
+
+class WordImages:
+    """Reduced free-group images of the generators, each with its inverse.
+
+    An action is a reduced letter tuple over the generators; evaluating
+    it substitutes the current images, and a word longer than ``cap``
+    raises ResourceLimitError.  Only installed images are inverted.
+    """
+
+    __slots__ = ("pos", "neg", "cap")
+
+    def __init__(self, rank: int, cap: int):
+        self.pos = [(k,) for k in range(1, rank + 1)]
+        self.neg = [(-k,) for k in range(1, rank + 1)]
+        self.cap = cap
+
+    def evaluate(self, word: tuple[int, ...]) -> tuple[int, ...]:
+        return _kernels.substitute(self.pos, self.neg, word, self.cap)
+
+    def __setitem__(self, k: int, letters: tuple[int, ...]) -> None:
+        self.pos[k] = letters
+        self.neg[k] = _kernels.invert_reduced(letters)
+
+
+class ColumnImages:
+    """Integer column vectors, one per basis vector.
+
+    An action is a tuple of ``(k, coefficient)`` pairs; evaluating it
+    gives that integer combination of the current columns.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, n: int):
+        self.columns = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+
+    def evaluate(self, combination: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+        columns = self.columns
+        terms = [
+            columns[k] if c == 1 else [c * x for x in columns[k]] for k, c in combination
+        ]
+        return tuple(map(sum, zip(*terms)))
+
+    def __setitem__(self, k: int, column: tuple[int, ...]) -> None:
+        self.columns[k] = column
+
+
+def moved_words(images: Sequence[tuple[int, ...]]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The ``(k, image)`` entries of a generator whose image of x_{k+1} is not x_{k+1}."""
+    return tuple((k, w) for k, w in enumerate(images) if w != (k + 1,))
+
+
+def moved_columns(
+    columns: Sequence[Sequence[int]],
+) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The ``(k, combination)`` entries of a matrix whose column k is not e_k."""
+    out = []
+    for k, col in enumerate(columns):
+        if any(x != int(i == k) for i, x in enumerate(col)):
+            out.append((k, tuple((i, x) for i, x in enumerate(col) if x)))
+    return tuple(out)

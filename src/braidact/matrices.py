@@ -4,24 +4,25 @@ Entries are Python ints, so products of long random words cannot
 overflow silently.  Determinants use the fraction-free Bareiss scheme
 and inverses go through the integer adjugate, which keeps everything in
 exact integer arithmetic; inversion is only defined for unimodular
-matrices (determinant +-1), the only case this package needs.
+matrices (determinant +-1), the only case this package needs.  The
+adjugate costs O(n^5), so the braid-matrix path avoids it: symplectic
+matrices are inverted as -J M^T J (``symplectic.symplectic_inverse``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import DimensionMismatchError, NonUnimodularError
 
 
-@dataclass(frozen=True, slots=True)
-class IntMatrix:
-    rows: tuple[tuple[int, ...], ...]
+class IntMatrix(Value):
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatchError("matrix must be square")

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 QUOTIENT_PASS = "quotient-level-pass"
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(NamedTuple):
     """Outcome of one named identity check.
 
     ``witness`` carries the two mismatching sides (already formatted)
@@ -39,8 +37,7 @@ class Check:
         return obj
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     checks: tuple[Check, ...] = ()
 

@@ -28,7 +28,7 @@ gamma = s1 s3^-1 s5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .action import GenusContext, braid_automorphism
 from .braids import BraidWord, braids_equal, half_twist
@@ -45,8 +45,7 @@ def _b6(*letters: int) -> BraidWord:
     return BraidWord(6, letters)
 
 
-@dataclass(frozen=True, slots=True)
-class BehrGenerators:
+class BehrGenerators(NamedTuple):
     """The six matrices generating Sp_4(Z) in Behr's presentation."""
 
     x_beta: IntMatrix
@@ -67,8 +66,7 @@ class BehrGenerators:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SpecialBraids:
+class SpecialBraids(NamedTuple):
     """The 6-strand braids generating the kernel together with the full twist."""
 
     Delta: BraidWord
@@ -77,8 +75,7 @@ class SpecialBraids:
     gamma: BraidWord
 
 
-@dataclass(frozen=True, slots=True)
-class GammaElements:
+class GammaElements(NamedTuple):
     """Kernel elements obtained by lifting Behr's seven nontrivial relators."""
 
     gamma1: BraidWord

@@ -6,6 +6,11 @@ alternating form <a_i, b_i> = -<b_i, a_i> = 1, i.e. lands in Sp_2g(Z):
 ``braid_matrix`` computes that image for a braid word (a homomorphism
 into Sp_2g(Z)) and ``is_symplectic`` is the exact membership test
 M^T J M = J for the block form J = [[0, I], [-I, 0]].
+
+Each twist abelianizes to a transvection that moves one or two basis
+vectors, so ``braid_matrix`` folds the word column by column (see
+``braidact.fold``) rather than multiplying dense matrices; the inverse
+crossings use the symplectic inverse -J M^T J, a signed transpose.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from functools import lru_cache
 from .action import GenusContext, twist_automorphism
 from .braids import BraidWord
 from .errors import DimensionMismatchError, StrandMismatchError
+from .fold import ColumnImages, fold, moved_columns
 from .matrices import IntMatrix
 from .report import VerificationReport, condition_check, equality_check
 
@@ -34,44 +40,74 @@ def standard_form(g: int) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-def is_symplectic(m: IntMatrix, g: int | None = None) -> bool:
-    """True iff  m^T J m = J  for the standard alternating form."""
+def _check_size(m: IntMatrix, g: int | None) -> int:
     if g is None:
         if m.dim % 2:
             raise DimensionMismatchError(f"symplectic matrices have even size, got {m.dim}")
-        g = m.dim // 2
-    elif m.dim != 2 * g:
+        return m.dim // 2
+    if m.dim != 2 * g:
         raise DimensionMismatchError(f"expected size {2 * g}, got {m.dim}")
-    j = standard_form(g)
-    return m.transpose() * j * m == j
+    return g
+
+
+def is_symplectic(m: IntMatrix, g: int | None = None) -> bool:
+    """True iff  m^T J m = J  for the standard alternating form.
+
+    J is a signed row permutation, (J m)[i] = m[g+i] for i < g and
+    -m[i-g] for i >= g, so only m^T (J m) is a real product.
+    """
+    g = _check_size(m, g)
+    rows = m.rows
+    form_m = IntMatrix(rows[g:] + tuple(tuple(-x for x in row) for row in rows[:g]))
+    return m.transpose() * form_m == standard_form(g)
+
+
+def symplectic_inverse(m: IntMatrix) -> IntMatrix:
+    """The inverse -J m^T J of a matrix m in Sp_2g(Z).
+
+    Entry (i, j) is s_i s_j m[p(j)][p(i)], with p(i) = i+g mod 2g and
+    s_i = 1 for i < g, -1 otherwise.  Only symplectic m have this
+    inverse; for any other matrix the result is not one.
+    """
+    g = _check_size(m, None)
+    n = 2 * g
+    rows = m.rows
+    sign = (1,) * g + (-1,) * g
+    p = tuple((i + g) % n for i in range(n))
+    return IntMatrix(
+        tuple(
+            tuple(sign[i] * sign[j] * rows[p[j]][p[i]] for j in range(n))
+            for i in range(n)
+        )
+    )
 
 
 @lru_cache(maxsize=None)
-def _twist_matrices(g: int) -> tuple[tuple[IntMatrix, ...], tuple[IntMatrix, ...]]:
+def _twist_columns(g: int) -> dict:
+    """Fold table of the twist matrices: the columns each one moves."""
     ctx = GenusContext(g)
-    pos = tuple(
-        twist_automorphism(ctx, i).abelianization_matrix() for i in range(1, 2 * g + 2)
-    )
-    neg = tuple(m.inverse() for m in pos)
-    return pos, neg
+    moves = {}
+    for i in range(1, 2 * g + 2):
+        m = twist_automorphism(ctx, i).abelianization_matrix()
+        moves[i] = moved_columns(tuple(zip(*m.rows)))
+        moves[-i] = moved_columns(tuple(zip(*symplectic_inverse(m).rows)))
+    return moves
 
 
 def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
     """Abelianized image of a braid word: a matrix in Sp_2g(Z).
 
-    Functorially equal to abelianizing the braid's automorphism; it is
-    evaluated as a product of the generator matrices.
+    Functorially equal to abelianizing the braid's automorphism, and to
+    the product of the generator matrices; each crossing recomputes only
+    the columns its transvection moves.
     """
     if braid.strands != ctx.strands:
         raise StrandMismatchError(
             f"braid on {braid.strands} strands does not act at genus {ctx.g}"
             f" (need {ctx.strands})"
         )
-    pos, neg = _twist_matrices(ctx.g)
-    out = IntMatrix.identity(ctx.rank)
-    for letter in braid.letters:
-        out = out * (pos[letter - 1] if letter > 0 else neg[-letter - 1])
-    return out
+    images = fold(ColumnImages(ctx.rank), _twist_columns(ctx.g), braid.letters)
+    return IntMatrix.from_columns(images.columns)
 
 
 def sl2_matrices() -> tuple[IntMatrix, IntMatrix]:

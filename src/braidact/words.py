@@ -13,10 +13,10 @@ elements is plain sequence equality.  All values are immutable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
+from ._value import Value
 from .errors import MalformedWordError, RankMismatchError, WordSyntaxError
 
 
@@ -36,26 +36,25 @@ class Letter(NamedTuple):
         return cls(abs(code), 1 if code > 0 else -1)
 
 
-@dataclass(frozen=True, slots=True)
-class FreeWord:
+class FreeWord(Value):
     """A freely reduced word; the identity is the empty word.
 
     The constructor accepts any raw letter sequence (signed integers or
     Letter pairs), validates indices against ``rank``, and reduces.
     """
 
-    rank: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("rank", "letters")
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise MalformedWordError(f"rank must be >= 0, got {self.rank}")
-        raw = tuple(x.encode() if isinstance(x, Letter) else int(x) for x in self.letters)
+    def __init__(self, rank: int, letters: Iterable[int | Letter] = ()):
+        if rank < 0:
+            raise MalformedWordError(f"rank must be >= 0, got {rank}")
+        raw = tuple(x.encode() if isinstance(x, Letter) else int(x) for x in letters)
         for x in raw:
-            if x == 0 or abs(x) > self.rank:
+            if x == 0 or abs(x) > rank:
                 raise MalformedWordError(
-                    f"letter {x} is outside the alphabet of rank {self.rank}"
+                    f"letter {x} is outside the alphabet of rank {rank}"
                 )
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", _kernels.reduce_letters(raw))
 
     @classmethod

@@ -2,15 +2,7 @@ import json
 
 import pytest
 
-from braidact import endo
 from braidact.cli import main
-
-
-@pytest.fixture(autouse=True)
-def restore_length_cap():
-    original = endo.get_length_cap()
-    yield
-    endo.set_length_cap(original)
 
 
 def run(capsys, *argv):
@@ -46,6 +38,30 @@ def test_apply_resource_cap_exits_3(capsys):
     code, _, err = run(capsys, "apply", "1 1 1 1 1 1", "b1", "--max-len", "3")
     assert code == 3
     assert "cap" in err
+
+
+def test_apply_cap_exceeded_mid_fold_exits_3(capsys):
+    # s1^4 s5 s1^-4 s5^-1 acts trivially, but b1 -> a1^4 b1 on the way
+    braid = "1 1 1 1 5 -1 -1 -1 -1 -5"
+    code, _, err = run(capsys, "apply", braid, "b1", "--max-len", "4")
+    assert code == 3
+    assert "cap of 4" in err
+    code, out, _ = run(capsys, "apply", braid, "b1", "--max-len", "5")
+    assert code == 0 and out.strip() == "b1"
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_apply_nonpositive_cap_exits_2(capsys, cap):
+    code, out, err = run(capsys, "apply", "1", "b1", "--max-len", cap)
+    assert code == 2
+    assert out == ""
+    assert "--max-len" in err
+
+
+def test_apply_cap_does_not_leak_into_the_next_call(capsys):
+    run(capsys, "apply", "1", "b1", "--max-len", "2")
+    code, out, _ = run(capsys, "apply", "1 1 1 1 1 1", "b1")
+    assert code == 0 and out.strip() == "a1 a1 a1 a1 a1 a1 b1"
 
 
 def test_matrix_examples(capsys):
@@ -113,6 +129,13 @@ def test_verify_sp4_reports_the_defects_and_exits_1(capsys):
 def test_verify_monoid_exits_0(capsys):
     code, out, _ = run(capsys, "verify", "monoid", "--genus", "2", "--max-len", "3")
     assert code == 0
+
+
+def test_verify_negative_max_len_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "monoid", "--genus", "2", "--max-len", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-len" in err
 
 
 def test_verify_symplectic_prints_seed(capsys):

@@ -1,0 +1,120 @@
+"""Parity of the sparse forward-only fold with plain dense composition.
+
+Each reference composes whole maps left to right from generators that
+are verified (twists) or built here from their defining formulas
+(Artin crossings), so the fold is checked against code that shares
+nothing with it but the generators.
+"""
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from braidact import (
+    Endomorphism,
+    FreeWord,
+    GenusContext,
+    IntMatrix,
+    ResourceLimitError,
+    artin_action,
+    braid_automorphism,
+    braid_matrix,
+    make_automorphism,
+    symplectic_inverse,
+    twist_automorphism,
+)
+from braidact.action import twist_table
+from braidact.symplectic import random_braid
+
+SEED = 0xF01D
+
+
+def dense_word_composite(generator, rank, letters):
+    """Left-to-right Endomorphism composition of the letters' generators."""
+    out = Endomorphism.identity(rank)
+    for x in letters:
+        gen = generator(abs(x))
+        out = out * (gen.forward if x > 0 else gen.backward)
+    return out
+
+
+def artin_generator(n, i):
+    """x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i, with its inverse."""
+    return make_automorphism(
+        Endomorphism.from_image_map(n, {i: FreeWord(n, (i, i + 1, -i)), i + 1: FreeWord(n, (i,))}),
+        Endomorphism.from_image_map(n, {i: FreeWord(n, (i + 1,)), i + 1: FreeWord(n, (-(i + 1), i, i + 1))}),
+    )
+
+
+@lru_cache(maxsize=None)
+def twist_matrices(g):
+    """The twist matrices and their adjugate inverses."""
+    ctx = GenusContext(g)
+    pos = [twist_automorphism(ctx, i).abelianization_matrix() for i in range(1, 2 * g + 2)]
+    return pos, [m.inverse() for m in pos]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_twist_fold_matches_dense_composition(g):
+    rng = random.Random(SEED + g)
+    ctx = GenusContext(g)
+    generator = lambda i: twist_automorphism(ctx, i)
+    for _ in range(40):
+        braid = random_braid(rng, ctx.strands, rng.randrange(25))
+        action = braid_automorphism(ctx, braid)
+        assert action.forward == dense_word_composite(generator, ctx.rank, braid.letters)
+        assert action.backward == dense_word_composite(
+            generator, ctx.rank, braid.inverse().letters
+        )
+        assert (action * action.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("strands", [3, 4, 5, 6, 7])
+def test_artin_fold_matches_dense_composition(strands):
+    rng = random.Random(SEED + strands)
+    generator = lambda i: artin_generator(strands, i)
+    for _ in range(40):
+        braid = random_braid(rng, strands, rng.randrange(25))
+        action = artin_action(braid)
+        assert action.forward == dense_word_composite(generator, strands, braid.letters)
+        assert action.inverse() == artin_action(braid.inverse())
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_braid_matrix_matches_dense_product_and_word_fold(g):
+    rng = random.Random(SEED + 10 * g)
+    ctx = GenusContext(g)
+    pos, neg = twist_matrices(g)
+    for _ in range(12):
+        braid = random_braid(rng, ctx.strands, rng.randrange(16))
+        dense = IntMatrix.identity(ctx.rank)
+        for x in braid.letters:
+            dense = dense * (pos[x - 1] if x > 0 else neg[-x - 1])
+        m = braid_matrix(ctx, braid)
+        assert m == dense
+        assert m == braid_automorphism(ctx, braid).abelianization_matrix()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_symplectic_inverse_equals_adjugate_inverse(g):
+    pos, neg = twist_matrices(g)
+    for m, adjugate in zip(pos, neg):
+        assert symplectic_inverse(m) == adjugate
+        assert symplectic_inverse(m) * m == IntMatrix.identity(2 * g)
+
+
+def test_fold_cap_trips_mid_fold():
+    # t1^4 t1^-4 is the identity, but b1 -> a1^4 b1 on the way.
+    table = twist_table(2)
+    letters = (1,) * 4 + (-1,) * 4
+    assert table.endomorphism(letters, cap=5).is_identity()
+    with pytest.raises(ResourceLimitError):
+        table.endomorphism(letters, cap=4)
+
+
+def test_deferred_inverse_of_a_long_power():
+    t = twist_automorphism(GenusContext(2), 3)
+    power = t ** 600
+    assert (power * power.inverse()).is_identity()
+    assert (t ** -600) == power.inverse()

@@ -122,3 +122,16 @@ def test_braid_lift_letters_coincide():
     w = OmegaWord(2, (1, -4, 5))
     assert w.braid_lift().letters == (1, -4, 5)
     assert w.braid_lift().strands == 6
+
+
+def test_sweeps_over_no_words_fail():
+    ctx = GenusContext(2)
+    for report in (
+        monoid.verify_normal_form_sweep(ctx, -1),
+        monoid.verify_section(ctx, -1),
+    ):
+        (check,) = report.checks
+        assert check.status == "fail"
+        assert "all 0 words" in check.description
+        assert check.witness["left"] == "no words enumerated"
+    assert monoid.verify_normal_form_sweep(ctx, 0).all_passed()

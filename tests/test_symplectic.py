@@ -96,3 +96,18 @@ def test_genus_one_symplectic_is_determinant_one():
         m = twist_automorphism(ctx, i).abelianization_matrix()
         assert is_symplectic(m, 1)
         assert m.det() == 1
+
+
+def test_is_symplectic_matches_the_dense_definition():
+    rng = random.Random(SEED)
+    for g in (1, 2, 3):
+        ctx = GenusContext(g)
+        j = standard_form(g)
+        for _ in range(40):
+            m = braid_matrix(ctx, random_braid(rng, ctx.strands, rng.randrange(12)))
+            # perturb one entry half the time, which leaves Sp_2g(Z)
+            if rng.random() < 0.5:
+                rows = [list(row) for row in m.rows]
+                rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice([1, -1, 2])
+                m = IntMatrix.from_rows(rows)
+            assert is_symplectic(m, g) == (m.transpose() * j * m == j)

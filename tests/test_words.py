@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -5,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidact import (
+    BraidWord,
     FreeWord,
+    GenusContext,
+    IntMatrix,
     Letter,
     MalformedWordError,
     RankMismatchError,
@@ -169,3 +173,13 @@ def test_pow_matches_repeated_concat():
     assert w ** 0 == FreeWord.identity(2)
     assert w ** 3 == w * w * w
     assert w ** -2 == (w.inverse()) * (w.inverse())
+
+
+def test_values_are_immutable_hashable_and_picklable():
+    for value in (FreeWord(4, (1, -1, 2)), BraidWord(6, (1, -3)), GenusContext(2), IntMatrix.identity(2)):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert hash(value) == hash(pickle.loads(pickle.dumps(value)))
+        with pytest.raises(AttributeError):
+            value.rank = 0
+    assert FreeWord(2, (1,)) != BraidWord(2, (1,))
+    assert repr(GenusContext(3)) == "GenusContext(g=3)"
