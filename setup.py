@@ -1,19 +1,15 @@
-"""Build script: compiles the optional word-kernel extension.
+"""Build script: compiles the optional word-kernel extension from ``_core.pyx``.
 
 The package is fully functional without the extension (a pure-Python
 twin of every kernel ships alongside it), so any failure to cythonize
 or compile degrades to a pure-Python install instead of aborting.
 """
 
-import os
-
 from setuptools import setup
 from setuptools.command.build_ext import build_ext
 
 
 def extension_modules():
-    if os.environ.get("BRAIDACT_PURE_PYTHON"):
-        return []
     try:
         from Cython.Build import cythonize
     except ImportError:

@@ -6,11 +6,10 @@ group of rank 2g, its abelianization into the symplectic modular group,
 and verification suites that mechanically re-derive the identities
 behind the genus-2 braid-type presentation of Sp_4(Z).
 
-Hot word kernels run on a compiled extension when available, with a
-pure-Python fallback selected at import (see ``braidact.kernel_backend``).
+Hot word kernels run on a compiled extension when it was built, and on
+a pure-Python twin otherwise (see ``braidact.kernel_backend``).
 """
 
-from ._kernels import available_backends as kernel_backends
 from ._kernels import backend_name as kernel_backend
 from .action import (
     GenusContext,
@@ -97,7 +96,6 @@ __all__ = [
     "half_twist",
     "is_symplectic",
     "kernel_backend",
-    "kernel_backends",
     "make_automorphism",
     "parse_braid",
     "parse_endomorphism",

@@ -1,59 +1,23 @@
-"""Word kernels with a compiled core and a pure-Python fallback.
+"""Word kernels: the compiled extension when it was built, else the pure twin.
 
-At import time the compiled extension is preferred; set the environment
-variable ``BRAIDACT_PURE_PYTHON=1`` to force the fallback.  Callers go
-through the module-level names (``reduce_letters`` etc.), which
-``set_backend`` can rebind, so benchmarks and tests can compare the two
-implementations on identical workloads.
+Only whether ``_core`` was built decides which implementation is bound;
+there is no switch.  Callers go through the module-level names
+(``reduce_letters`` etc.).
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _pure
-
 try:
-    from . import _core
+    from . import _core as _impl
 except ImportError:
-    _core = None
+    from . import _pure as _impl
 
-if os.environ.get("BRAIDACT_PURE_PYTHON"):
-    _active = _pure
-else:
-    _active = _core if _core is not None else _pure
-
-reduce_letters = _active.reduce_letters
-concat_reduced = _active.concat_reduced
-invert_reduced = _active.invert_reduced
-substitute = _active.substitute
+reduce_letters = _impl.reduce_letters
+concat_reduced = _impl.concat_reduced
+invert_reduced = _impl.invert_reduced
+substitute = _impl.substitute
 
 
 def backend_name() -> str:
-    """Name of the backend currently bound: "compiled" or "pure"."""
-    return _active.BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "pure") if _core is not None else ("pure",)
-
-
-def backend_module(name: str):
-    """Return the implementation module for ``name`` without rebinding."""
-    if name == "pure":
-        return _pure
-    if name == "compiled":
-        if _core is None:
-            raise ValueError("compiled backend is not available")
-        return _core
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def set_backend(name: str) -> None:
-    """Rebind the module-level kernels to the named implementation."""
-    global _active, reduce_letters, concat_reduced, invert_reduced, substitute
-    _active = backend_module(name)
-    reduce_letters = _active.reduce_letters
-    concat_reduced = _active.concat_reduced
-    invert_reduced = _active.invert_reduced
-    substitute = _active.substitute
+    """Name of the bound implementation: "compiled" or "pure"."""
+    return _impl.BACKEND

@@ -167,12 +167,13 @@ def full_twist_center_check(strands: int) -> bool:
     )
 
 
-# Named abbreviations accepted by the 6-strand parser.
-_NAMED_B6 = {
-    "DELTA6": lambda: half_twist(6).letters,
-    "ALPHA": lambda: (4, 5) * 3,
-    "BETA": lambda: (-3, 1, 2, 1, 2, 1, 2, 3),
-    "GAMMA": lambda: (1, -3, 5),
+# The named 6-strand braids, as crossing letters: the one definition the
+# parser expands on six strands and ``sp4`` builds its braids from.
+NAMED_B6: dict[str, tuple[int, ...]] = {
+    "DELTA6": half_twist(6).letters,
+    "ALPHA": (4, 5) * 3,
+    "BETA": (-3, 1, 2, 1, 2, 1, 2, 3),
+    "GAMMA": (1, -3, 5),
 }
 
 
@@ -186,12 +187,12 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     letters: list[int] = []
     for match in re.finditer(r"\S+", text):
         token = match.group()
-        if token in _NAMED_B6:
+        if token in NAMED_B6:
             if strands != 6:
                 raise WordSyntaxError(
                     f"named braid {token} is only defined on 6 strands", match.start()
                 )
-            letters.extend(_NAMED_B6[token]())
+            letters.extend(NAMED_B6[token])
             continue
         try:
             value = int(token)

@@ -120,10 +120,6 @@ class Endomorphism:
             tuple(_kernels.substitute(pos, neg, w, DEFAULT_LENGTH_CAP) for w in other._pos),
         )
 
-    def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """``self.compose(other)`` applies ``other`` first."""
-        return self * other
-
     def __pow__(self, exponent: int) -> "Endomorphism":
         if exponent < 0:
             raise ValueError("negative powers need an Automorphism")
@@ -233,9 +229,6 @@ class Automorphism:
         return Automorphism._trusted(
             self.forward * other.forward, other.backward * self.backward
         )
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        return self * other
 
     def __pow__(self, exponent: int) -> "Automorphism":
         base = self if exponent >= 0 else self.inverse()

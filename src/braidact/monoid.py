@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from ._value import Value
@@ -45,13 +46,19 @@ def omega_alphabet(g: int) -> tuple[int, ...]:
     return (1, 2 * g + 1) + tuple(-2 * i for i in range(1, g + 1))
 
 
+@lru_cache(maxsize=None)
+def _alphabet_set(g: int) -> frozenset[int]:
+    """``omega_alphabet(g)`` as a set, built once per genus."""
+    return frozenset(omega_alphabet(g))
+
+
 class OmegaWord(Value):
     """A word over the positivity-preserving twist alphabet (no reduction)."""
 
     __slots__ = ("g", "letters")
 
     def __init__(self, g: int, letters: Iterable[int] = ()):
-        allowed = set(omega_alphabet(g))
+        allowed = _alphabet_set(g)
         raw = tuple(int(x) for x in letters)
         for x in raw:
             if x not in allowed:
@@ -102,7 +109,7 @@ def parse_omega(text: str, g: int) -> OmegaWord:
             raise WordSyntaxError(f"bad token {token!r}", match.start())
         index = int(m.group(2))
         code = index if m.group(1) == "u" else -index
-        if code not in omega_alphabet(g):
+        if code not in _alphabet_set(g):
             raise WordSyntaxError(
                 f"{token!r} is not a positivity-alphabet letter at genus {g}",
                 match.start(),

@@ -50,9 +50,6 @@ class VerificationReport(NamedTuple):
     def sorted_checks(self) -> tuple[Check, ...]:
         return tuple(sorted(self.checks, key=lambda c: c.check_id))
 
-    def merged_with(self, other: "VerificationReport", suite: str) -> "VerificationReport":
-        return VerificationReport(suite, self.checks + other.checks)
-
     def to_json_obj(self) -> list[dict]:
         return [c.to_json_obj() for c in self.sorted_checks()]
 
@@ -65,10 +62,8 @@ class VerificationReport(NamedTuple):
 
 
 def merge_reports(suite: str, reports: Iterable[VerificationReport]) -> VerificationReport:
-    checks: tuple[Check, ...] = ()
-    for r in reports:
-        checks = checks + r.checks
-    return VerificationReport(suite, checks)
+    """One report holding the checks of ``reports``, in order."""
+    return VerificationReport(suite, tuple(c for r in reports for c in r.checks))
 
 
 def equality_check(

@@ -31,10 +31,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .action import GenusContext, braid_automorphism
-from .braids import BraidWord, braids_equal, half_twist
+from .braids import NAMED_B6, BraidWord, braids_equal
 from .endo import Automorphism, Endomorphism
 from .matrices import IntMatrix
-from .report import Check, VerificationReport, condition_check, equality_check
+from .report import Check, VerificationReport, condition_check, equality_check, merge_reports
 from .symplectic import braid_matrix, is_symplectic
 from .words import FreeWord
 
@@ -43,6 +43,21 @@ G2 = GenusContext(2)
 
 def _b6(*letters: int) -> BraidWord:
     return BraidWord(6, letters)
+
+
+# The recurring 6-strand words, each spelled once.  BraidWord is
+# immutable, so sharing them is safe.
+DELTA = BraidWord(6, NAMED_B6["DELTA6"])
+ALPHA = BraidWord(6, NAMED_B6["ALPHA"])
+BETA = BraidWord(6, NAMED_B6["BETA"])
+GAMMA = BraidWord(6, NAMED_B6["GAMMA"])
+X_ALPHA = _b6(-5, -4, -1, 3, -5, 4, 5)
+CORE454 = _b6(4, 5, 4)
+# Conjugates gamma' in the w-jump of the 17th lifted relator.
+W_JUMP_CONJUGATOR = _b6(1, 2, 1, -3, -2, -4)
+GAMMA_PRIME = ALPHA * _b6(-3) * _b6(1, 2, 5, 4, 5) * ALPHA * GAMMA * _b6(3, 4, 5, 2, 1, 2) * _b6(3)
+# The closed form the chain rewrites gamma' into.
+GAMMA_PRIME_CLOSED = ALPHA * _b6(-3) * _b6(1, 2) * ALPHA ** 2 * _b6(1, 2) ** 2 * _b6(3)
 
 
 class BehrGenerators(NamedTuple):
@@ -119,57 +134,36 @@ def half_twist_matrix() -> IntMatrix:
 
 
 def special_braids() -> SpecialBraids:
-    return SpecialBraids(
-        Delta=half_twist(6),
-        alpha=_b6(4, 5) ** 3,
-        beta=_b6(-3, 1, 2, 1, 2, 1, 2, 3),
-        gamma=_b6(1, -3, 5),
-    )
+    return SpecialBraids(Delta=DELTA, alpha=ALPHA, beta=BETA, gamma=GAMMA)
 
 
 def lift_table() -> dict[str, BraidWord]:
     """Braid lifts of Behr's generators (abelianizing a lift recovers its matrix)."""
-    sb = special_braids()
     return {
         "x_beta": _b6(5),
-        "x_alpha_plus_beta": _b6(1, -3, 5),
+        "x_alpha_plus_beta": GAMMA,
         "x_two_alpha_plus_beta": _b6(1),
-        "x_alpha": _b6(-5, -4, -1, 3, -5, 4, 5),
-        "w_alpha": sb.alpha * sb.Delta,
-        "w_beta": _b6(4, 5, 4).inverse(),
+        "x_alpha": X_ALPHA,
+        "w_alpha": ALPHA * DELTA,
+        "w_beta": CORE454.inverse(),
     }
 
 
 def gamma_elements() -> GammaElements:
     """The seven lifted relators, each in its recorded word form."""
-    delta = half_twist(6)
-    alpha = _b6(4, 5) ** 3
-    gamma = _b6(1, -3, 5)
-    x_alpha = _b6(-5, -4, -1, 3, -5, 4, 5)
-    core454 = _b6(4, 5, 4)
-    gamma1 = (
-        _b6(-1)
-        * _b6(-5, 3, -1)
-        * x_alpha
-        * _b6(5)
-        * _b6(-5, -4, 1, -3, 5, 4, 5)
-        * _b6(-5)
-    )
-    gamma2 = (
-        _b6(-1, -1)
-        * x_alpha
-        * gamma
-        * _b6(-5, -4, 1, -3, 5, 4, 5)
-        * _b6(-1, 3, -5)
-    )
-    gamma7 = alpha * delta * core454 ** -2 * alpha * delta * core454 ** 2
-    gamma10 = core454 ** 4
-    gamma13 = alpha * delta * gamma * delta.inverse() * alpha.inverse() * gamma
-    gamma14 = x_alpha * core454 * _b6(-1, 3, -5) * core454.inverse()
+    gamma_shifted = GAMMA.conjugated_by(_b6(-5, -4))
+    # s1^-1 s3 s5^-1: gamma^-1 with its commuting letters in another order.
+    gamma_inv_commuted = _b6(-1, 3, -5)
+    gamma1 = _b6(-1) * GAMMA.inverse() * X_ALPHA * _b6(5) * gamma_shifted * _b6(-5)
+    gamma2 = _b6(-1, -1) * X_ALPHA * GAMMA * gamma_shifted * gamma_inv_commuted
+    gamma7 = ALPHA * DELTA * CORE454 ** -2 * ALPHA * DELTA * CORE454 ** 2
+    gamma10 = CORE454 ** 4
+    gamma13 = ALPHA * DELTA * GAMMA * DELTA.inverse() * ALPHA.inverse() * GAMMA
+    gamma14 = X_ALPHA * CORE454 * gamma_inv_commuted * CORE454.inverse()
     gamma17 = (
-        alpha * delta * x_alpha * delta.inverse() * alpha.inverse()
-        * x_alpha
-        * alpha * delta * x_alpha
+        ALPHA * DELTA * X_ALPHA * DELTA.inverse() * ALPHA.inverse()
+        * X_ALPHA
+        * ALPHA * DELTA * X_ALPHA
     )
     return GammaElements(gamma1, gamma2, gamma7, gamma10, gamma13, gamma14, gamma17)
 
@@ -255,11 +249,7 @@ def verify_gamma_identities() -> VerificationReport:
 
     All are decided exactly by the Artin-action word problem.
     """
-    sb = special_braids()
     ge = gamma_elements()
-    delta, alpha, gamma = sb.Delta, sb.alpha, sb.gamma
-    x_alpha = _b6(-5, -4, -1, 3, -5, 4, 5)
-    core454 = _b6(4, 5, 4)
     checks = [
         _bequal(
             "sp4.gamma.1-conjugate-2",
@@ -271,25 +261,25 @@ def verify_gamma_identities() -> VerificationReport:
             "sp4.gamma.7-pre-commute",
             "gamma7: (s4 s5)^3 Delta (s4s5s4)^2 commutes into (s4s5s4)^2 Delta (s4 s5)^3",
             ge.gamma7,
-            alpha * delta * core454 ** -2 * core454 ** 2 * delta * alpha,
+            ALPHA * DELTA * CORE454 ** -2 * CORE454 ** 2 * DELTA * ALPHA,
         ),
         _bequal(
             "sp4.gamma.7-central-form",
             "gamma7 = (s4 s5)^6 Delta^2",
             ge.gamma7,
-            alpha ** 2 * delta ** 2,
+            ALPHA ** 2 * DELTA ** 2,
         ),
         _bequal(
             "sp4.gamma.10-power-identity",
             "(s4 s5 s4)^4 = (s4 s5)^6",
             ge.gamma10,
-            alpha ** 2,
+            ALPHA ** 2,
         ),
         _bequal(
             "sp4.gamma.13-delta-free-form",
             "gamma13 = (s4 s5)^3 gamma (s4 s5)^-3 gamma",
             ge.gamma13,
-            alpha * gamma * alpha.inverse() * gamma,
+            ALPHA * GAMMA * ALPHA.inverse() * GAMMA,
         ),
         _bequal(
             "sp4.gamma.13-inverse-of-2",
@@ -306,8 +296,8 @@ def verify_gamma_identities() -> VerificationReport:
         _bequal(
             "sp4.gamma.w-jump",
             "alpha^-1 s2^-1 s1^-1 Delta = s3 s4 s5 s2 s1 s2 s3 (s1 s2 s1 s3^-1 s2^-1 s4^-1)^-1",
-            alpha.inverse() * _b6(-2, -1) * delta,
-            _b6(3, 4, 5, 2, 1, 2, 3) * _b6(1, 2, 1, -3, -2, -4).inverse(),
+            ALPHA.inverse() * _b6(-2, -1) * DELTA,
+            _b6(3, 4, 5, 2, 1, 2, 3) * W_JUMP_CONJUGATOR.inverse(),
         ),
     ]
     for i in range(1, 6):
@@ -315,23 +305,22 @@ def verify_gamma_identities() -> VerificationReport:
             _bequal(
                 f"sp4.gamma.half-twist-flip-{i}",
                 f"Delta s{i} = s{6 - i} Delta",
-                delta * _b6(i),
-                _b6(6 - i) * delta,
+                DELTA * _b6(i),
+                _b6(6 - i) * DELTA,
             )
         )
         checks.append(
             _bequal(
                 f"sp4.gamma.full-twist-central-{i}",
                 f"Delta^2 commutes with s{i}",
-                delta ** 2 * _b6(i),
-                _b6(i) * delta ** 2,
+                DELTA ** 2 * _b6(i),
+                _b6(i) * DELTA ** 2,
             )
         )
     # The chain rewriting gamma' into alpha beta: the two block identities
     # and the resulting closed form, all exact.
-    gamma_prime = alpha * _b6(-3) * _b6(1, 2, 5, 4, 5) * alpha * gamma * _b6(3, 4, 5, 2, 1, 2) * _b6(3)
-    middle_left = _b6(1, 2, 5, 4, 5) * alpha * _b6(5) * _b6(1, -3) * _b6(3, 4, 5, 2, 1, 2)
-    middle_right = _b6(1, 2) * (_b6(5, 4, 5) * alpha * _b6(5, 4, 5)) * _b6(1, 2) ** 2
+    middle_left = _b6(1, 2, 5, 4, 5) * ALPHA * _b6(5) * _b6(1, -3) * _b6(3, 4, 5, 2, 1, 2)
+    middle_right = _b6(1, 2) * (_b6(5, 4, 5) * ALPHA * _b6(5, 4, 5)) * _b6(1, 2) ** 2
     checks.extend(
         [
             _bequal(
@@ -343,14 +332,14 @@ def verify_gamma_identities() -> VerificationReport:
             _bequal(
                 "sp4.gamma.prime-alpha-square",
                 "s5 s4 s5 alpha s5 s4 s5 = alpha^2",
-                _b6(5, 4, 5) * alpha * _b6(5, 4, 5),
-                alpha ** 2,
+                _b6(5, 4, 5) * ALPHA * _b6(5, 4, 5),
+                ALPHA ** 2,
             ),
             _bequal(
                 "sp4.gamma.prime-closed-form",
                 "gamma' = alpha s3^-1 (s1 s2) alpha^2 (s1 s2)^2 s3",
-                gamma_prime,
-                alpha * _b6(-3) * _b6(1, 2) * alpha ** 2 * _b6(1, 2) ** 2 * _b6(3),
+                GAMMA_PRIME,
+                GAMMA_PRIME_CLOSED,
             ),
             condition_check(
                 "sp4.gamma.trivial-lifts-scope-note",
@@ -366,7 +355,7 @@ def verify_gamma_identities() -> VerificationReport:
 
 def alpha_square_action() -> Automorphism:
     """The free-group automorphism carried by (s4 s5)^6."""
-    return braid_automorphism(G2, special_braids().alpha ** 2)
+    return braid_automorphism(G2, ALPHA ** 2)
 
 
 def _alpha_square_reference_images() -> dict[int, FreeWord]:
@@ -391,13 +380,12 @@ def verify_kernel_generators() -> VerificationReport:
     not inner: a conjugating element would have to centralize both a1
     and b1, and only the trivial element does.
     """
-    sb = special_braids()
     identity4 = IntMatrix.identity(4)
     kernel_words = {
-        "full-twist": sb.Delta ** 2,
-        "alpha-square": sb.alpha ** 2,
-        "alpha-beta": sb.alpha * sb.beta,
-        "alpha-gamma-square": (sb.alpha * sb.gamma) ** 2,
+        "full-twist": DELTA ** 2,
+        "alpha-square": ALPHA ** 2,
+        "alpha-beta": ALPHA * BETA,
+        "alpha-gamma-square": (ALPHA * GAMMA) ** 2,
     }
     checks = [
         equality_check(
@@ -491,9 +479,8 @@ def verify_presentation() -> VerificationReport:
                         m[j] * m[i] * m[j],
                     )
                 )
-    half_twist_word = half_twist(6).letters
     mdelta_from_word = IntMatrix.identity(4)
-    for letter in half_twist_word:
+    for letter in DELTA.letters:
         mdelta_from_word = mdelta_from_word * m[letter]
     checks.extend(
         [
@@ -534,59 +521,47 @@ def _gamma17_chain_words() -> dict[str, BraidWord]:
     stages are only congruent to the relator modulo the normal closure
     of the kernel generators, so they are checked in the quotient.
     """
-    delta = half_twist(6)
-    alpha = _b6(4, 5) ** 3
-    gamma = _b6(1, -3, 5)
-    gamma_inv = gamma.inverse()
-    x_alpha = _b6(-5, -4, -1, 3, -5, 4, 5)
+    gamma_inv = GAMMA.inverse()
     jump_block = _b6(1, 2, -1, 3, -5, -2, -1)
     # The conjugate the half twist actually produces (indices flipped in
     # place); the recorded jump_block above is its reversal.
     jump_block_flipped = _b6(-1, -2, -5, 3, -1, 2, 1)
-    conjugator = _b6(1, 2, 1, -3, -2, -4)
-    gamma_prime = (
-        alpha * _b6(-3) * _b6(1, 2, 5, 4, 5) * alpha * gamma * _b6(3, 4, 5, 2, 1, 2) * _b6(3)
-    )
     return {
         "post-jump": (
-            alpha * jump_block * alpha.inverse() * x_alpha * alpha * jump_block * delta
+            ALPHA * jump_block * ALPHA.inverse() * X_ALPHA * ALPHA * jump_block * DELTA
         ),
         "post-jump-corrected": (
-            alpha * jump_block_flipped * alpha.inverse() * x_alpha
-            * alpha * jump_block_flipped * delta
+            ALPHA * jump_block_flipped * ALPHA.inverse() * X_ALPHA
+            * ALPHA * jump_block_flipped * DELTA
         ),
         "derived": (
-            _b6(1, 2) * alpha * gamma_inv * _b6(-2, -1)
-            * alpha.inverse() * _b6(-5, -4) * gamma_inv * _b6(4, 5)
-            * alpha * _b6(1, 2) * gamma_inv * _b6(-2, -1) * delta
+            _b6(1, 2) * ALPHA * gamma_inv * _b6(-2, -1)
+            * ALPHA.inverse() * _b6(-5, -4) * gamma_inv * _b6(4, 5)
+            * ALPHA * _b6(1, 2) * gamma_inv * _b6(-2, -1) * DELTA
         ),
         "stage-a": (
-            _b6(1, 2) * alpha ** 2 * gamma * alpha * _b6(-2, -1)
-            * alpha.inverse() * _b6(-5, -4) * alpha * gamma * alpha * _b6(4, 5)
-            * alpha * _b6(1, 2) * alpha * gamma * alpha.inverse() * alpha ** 2
-            * _b6(-2, -1) * delta
+            _b6(1, 2) * ALPHA ** 2 * GAMMA * ALPHA * _b6(-2, -1)
+            * ALPHA.inverse() * _b6(-5, -4) * ALPHA * GAMMA * ALPHA * _b6(4, 5)
+            * ALPHA * _b6(1, 2) * ALPHA * GAMMA * ALPHA.inverse() * ALPHA ** 2
+            * _b6(-2, -1) * DELTA
         ),
         "stage-b": (
             _b6(1, 2, 1, -3, -2, -1) * _b6(5, -5, -4)
-            * alpha * gamma * _b6(4, 5)
-            * _b6(1, 2) * alpha * gamma * alpha.inverse() * _b6(-2, -1) * delta
+            * ALPHA * GAMMA * _b6(4, 5)
+            * _b6(1, 2) * ALPHA * GAMMA * ALPHA.inverse() * _b6(-2, -1) * DELTA
         ),
         "stage-c": (
             _b6(1, 2, 1, -3, -2, -1, -4)
-            * alpha * _b6(1, -3, 5, 4, 5)
-            * _b6(1, 2) * alpha * gamma * alpha.inverse() * _b6(-2, -1) * delta
+            * ALPHA * GAMMA * _b6(4, 5)
+            * _b6(1, 2) * ALPHA * GAMMA * ALPHA.inverse() * _b6(-2, -1) * DELTA
         ),
         "stage-d": (
-            _b6(1, 2, 1, -3, -2, -4)
-            * alpha * _b6(-3) * _b6(1, 2, 5, 4, 5) * alpha * gamma
-            * (alpha.inverse() * _b6(-2, -1) * delta)
+            W_JUMP_CONJUGATOR
+            * ALPHA * _b6(-3) * _b6(1, 2, 5, 4, 5) * ALPHA * GAMMA
+            * (ALPHA.inverse() * _b6(-2, -1) * DELTA)
         ),
-        "gamma-prime": gamma_prime,
-        "conjugated-closed-form": (
-            conjugator
-            * (alpha * _b6(-3) * _b6(1, 2) * alpha ** 2 * _b6(1, 2) ** 2 * _b6(3))
-            * conjugator.inverse()
-        ),
+        "gamma-prime": GAMMA_PRIME,
+        "conjugated-closed-form": GAMMA_PRIME_CLOSED.conjugated_by(W_JUMP_CONJUGATOR),
     }
 
 
@@ -599,7 +574,6 @@ def verify_gamma17_quotient() -> VerificationReport:
     see.  As recorded the chain fails (reversed conjugate, see the
     module docstring); the corrected jump is verified alongside.
     """
-    sb = special_braids()
     ge = gamma_elements()
     chain = _gamma17_chain_words()
     identity4 = IntMatrix.identity(4)
@@ -633,7 +607,7 @@ def verify_gamma17_quotient() -> VerificationReport:
         equality_check(
             "sp4.gamma17.matrix.alpha-beta",
             "alpha beta abelianizes to the identity matrix",
-            braid_matrix(G2, sb.alpha * sb.beta),
+            braid_matrix(G2, ALPHA * BETA),
             identity4,
             quotient_level=True,
         ),
@@ -653,15 +627,14 @@ def verify_gamma17_quotient() -> VerificationReport:
 
 def verify_all() -> VerificationReport:
     """Every named genus-2 check, concatenated into one report."""
-    parts = (
-        verify_surjectivity_witnesses(),
-        verify_lift_consistency(),
-        verify_gamma_identities(),
-        verify_kernel_generators(),
-        verify_presentation(),
-        verify_gamma17_quotient(),
+    return merge_reports(
+        "sp4",
+        (
+            verify_surjectivity_witnesses(),
+            verify_lift_consistency(),
+            verify_gamma_identities(),
+            verify_kernel_generators(),
+            verify_presentation(),
+            verify_gamma17_quotient(),
+        ),
     )
-    checks: tuple[Check, ...] = ()
-    for part in parts:
-        checks = checks + part.checks
-    return VerificationReport("sp4", checks)

@@ -114,6 +114,15 @@ def test_verify_center_json_schema(capsys):
         assert check["status"] in ("pass", "fail", "quotient-level-pass")
 
 
+def test_verify_all_check_ids_are_unique(capsys):
+    # The benchmark keys its verdict table by check id, so a duplicate id
+    # would silently shadow a verdict.
+    code, out, _ = run(capsys, "verify", "all", "--genus", "2", "--json")
+    assert code == 1
+    ids = [c["check_id"] for c in json.loads(out)]
+    assert len(ids) == len(set(ids))
+
+
 def test_verify_sp4_reports_the_defects_and_exits_1(capsys):
     code, out, _ = run(capsys, "verify", "sp4", "--json")
     assert code == 1

@@ -28,6 +28,11 @@ def test_omega_alphabet_letters():
     assert monoid.omega_alphabet(3) == (1, 7, -2, -4, -6)
     with pytest.raises(MalformedWordError):
         OmegaWord(2, (3,))
+    for _ in range(2):  # the per-genus letter set must not cache the error away
+        with pytest.raises(MalformedWordError, match="genus must be >= 1"):
+            OmegaWord(0, ())
+        with pytest.raises(MalformedWordError, match="genus must be >= 1"):
+            parse_omega("u1", 0)
 
 
 def test_parse_and_format_omega():

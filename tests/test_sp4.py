@@ -33,6 +33,20 @@ def test_special_braids():
     assert sb.gamma.letters == (1, -3, 5)
 
 
+def test_verify_all_is_the_six_suites_in_order():
+    parts = (
+        sp4.verify_surjectivity_witnesses(),
+        sp4.verify_lift_consistency(),
+        sp4.verify_gamma_identities(),
+        sp4.verify_kernel_generators(),
+        sp4.verify_presentation(),
+        sp4.verify_gamma17_quotient(),
+    )
+    report = sp4.verify_all()
+    assert report.suite == "sp4"
+    assert report.checks == tuple(c for part in parts for c in part.checks)
+
+
 def test_surjectivity_witnesses_all_pass():
     report = sp4.verify_surjectivity_witnesses()
     assert report.all_passed()
