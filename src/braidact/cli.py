@@ -10,6 +10,7 @@ check suite).  Exit codes: 0 success / equal / all checks passed,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -183,6 +184,12 @@ def main(argv: list[str] | None = None) -> int:
             if not args.json and args.suite in ("symplectic", "all"):
                 print(f"seed: {args.seed}")
             report = _run_suite(args.suite, args.genus, args.max_len, args.seed)
+            # CPython frees cyclic garbage (each call's argparse parser) and
+            # empties its free lists only in a full collection, which it
+            # starts by allocation count.  The prefix-shared sweeps allocate
+            # so little that, without this, 50 in-process `verify all
+            # --genus 4` runs grew the resident set by 2.7 MB.
+            gc.collect()
             return _print_report(report, args.json)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

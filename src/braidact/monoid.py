@@ -11,11 +11,13 @@ pin down.
 The monoid generated by the g+2 positive maps has a normal form:
 because generators whose twist indices differ by more than one commute,
 every product sorts into a block over {t_1, t_2^-1}, then powers of
-t_4^-1 ... t_{2g-2}^-1, then a block over {t_2g^-1, t_{2g+1}} - using
-only adjacent swaps of commuting letters.  Mapping t_1, t_{2g+1} and
-t_{2i}^-1 to the corresponding braid crossings sections the braid
-action on this monoid; ``verify_section`` confirms that identity on an
-exhaustive ball.
+t_4^-1 ... t_{2g-2}^-1, then a block over {t_2g^-1, t_{2g+1}}, moving
+letters only past commuting ones.  Over an exhaustive ball,
+``verify_normal_form_sweep`` checks that words with the same normal form
+act alike, and ``verify_section`` that distinct normal forms act
+distinctly: the monoid is free on its blocks, so lifting normal forms to
+braid crossings sections the braid action on it.  Both read the ball
+from ``omega_ball``, one fold step per word on top of its prefix.
 
 Omega-word letters reuse the signed-integer convention: ``+k`` is the
 twist t_k, ``-k`` its inverse, so the braid lift is literally the same
@@ -30,11 +32,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from ._value import Value
-from .action import GenusContext, braid_automorphism, twist_automorphism, twist_table
+from .action import GenusContext, twist_automorphism, twist_table
 from .braids import BraidWord
-from .endo import Automorphism, Endomorphism
+from .endo import DEFAULT_LENGTH_CAP, Automorphism, Endomorphism
 from .errors import BraidactError, MalformedWordError, WordSyntaxError
-from .matrices import IntMatrix
+from .fold import WordImages, fold
 from .report import VerificationReport, condition_check
 from .symplectic import sl2_matrices
 
@@ -169,61 +171,90 @@ class OmegaNormalForm(NamedTuple):
     suffix: OmegaWord
 
     def reassembled(self) -> OmegaWord:
-        g = self.prefix.g
-        middle = []
-        for offset, count in enumerate(self.exponents):
-            middle.extend([-2 * (offset + 2)] * count)
-        return OmegaWord(g, self.prefix.letters + tuple(middle) + self.suffix.letters)
+        middle = (-2 * i for i, count in enumerate(self.exponents, 2) for _ in range(count))
+        return OmegaWord(self.prefix.g, (*self.prefix.letters, *middle, *self.suffix.letters))
 
 
-def _block_key(g: int, code: int) -> int:
-    index = abs(code)
-    if index in (1, 2):
-        return 0
-    if index in (2 * g, 2 * g + 1):
-        return g
-    return index // 2  # interior inverse even twist t_{2i}^-1 -> block i
+@lru_cache(maxsize=None)
+def _blocks(g: int) -> dict[int, int]:
+    """Each omega letter's block: 0 for t_1 and t_2^-1, i for t_{2i}^-1
+    with 1 < i < g, and g for t_2g^-1 and t_{2g+1}.  Letters of different
+    blocks must commute, their twist indices differing by more than one."""
+    if g < 2:
+        raise MalformedWordError("the block normal form needs genus >= 2")
+    blocks = {x: 0 if abs(x) <= 2 else abs(x) // 2 for x in omega_alphabet(g)}
+    for x, y in itertools.combinations(blocks, 2):
+        if blocks[x] != blocks[y] and abs(abs(x) - abs(y)) <= 1:
+            raise BraidactError(f"non-commuting swap {x},{y} required; alphabet invariant broken")
+    return blocks
+
+
+def _buckets(g: int, letters: Iterable[int]) -> list[list[int]]:
+    """The letters bucketed into the g+1 blocks in input order (a stable
+    counting sort); their concatenation is the normal form."""
+    blocks = _blocks(g)
+    buckets: list[list[int]] = [[] for _ in range(g + 1)]
+    for x in letters:
+        buckets[blocks[x]].append(x)
+    return buckets
 
 
 def omega_normal_form(word: OmegaWord) -> OmegaNormalForm:
-    """Sort an omega word into its three blocks by commuting adjacent swaps.
-
-    Only letters whose twist indices differ by more than one are ever
-    swapped; the realized automorphism is checked to be unchanged.
-    """
+    """Sort an omega word into its blocks; the realized automorphism is
+    checked to be unchanged."""
     g = word.g
-    if g < 2:
-        raise MalformedWordError("the block normal form needs genus >= 2")
-    letters = list(word.letters)
-    # Stable bubble sort; every swap crosses distinct blocks, hence commutes.
-    for sweep_end in range(len(letters) - 1, 0, -1):
-        for k in range(sweep_end):
-            x, y = letters[k], letters[k + 1]
-            if _block_key(g, x) > _block_key(g, y):
-                if abs(abs(x) - abs(y)) <= 1:
-                    raise BraidactError(
-                        f"non-commuting swap {x},{y} required; alphabet invariant broken"
-                    )
-                letters[k], letters[k + 1] = y, x
-    boundary1 = sum(1 for x in letters if _block_key(g, x) == 0)
-    boundary2 = len(letters) - sum(1 for x in letters if _block_key(g, x) == g)
-    prefix = OmegaWord(g, tuple(letters[:boundary1]))
-    suffix = OmegaWord(g, tuple(letters[boundary2:]))
-    exponents = tuple(
-        sum(1 for x in letters if x == -2 * i) for i in range(2, g)
+    buckets = _buckets(g, word.letters)
+    form = OmegaNormalForm(
+        OmegaWord(g, buckets[0]), tuple(map(len, buckets[2:g])), OmegaWord(g, buckets[g])
     )
-    form = OmegaNormalForm(prefix, exponents, suffix)
     if form.reassembled().automorphism() != word.automorphism():
         raise BraidactError("normal form changed the realized automorphism")
     return form
 
 
 def omega_words(g: int, max_len: int) -> Iterator[OmegaWord]:
-    """All omega words of length 0..max_len, shortest first."""
-    alphabet = omega_alphabet(g)
-    for length in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            yield OmegaWord(g, combo)
+    """All omega words of length 0..max_len, depth first: each word is
+    followed by all its extensions, so the last shorter word yielded
+    before a word is its prefix."""
+    alphabet = omega_alphabet(g)[::-1]
+    stack = [()] if max_len >= 0 else []
+    while stack:
+        letters = stack.pop()
+        yield OmegaWord(g, letters)
+        if len(letters) < max_len:
+            stack.extend(letters + (x,) for x in alphabet)
+
+
+def omega_ball(g: int, max_len: int, cap: int = DEFAULT_LENGTH_CAP) -> Iterator[tuple]:
+    """Every omega word of length <= max_len with its generator images.
+
+    A word's images are its prefix's, kept on a stack indexed by length,
+    with the last letter folded in: one sparse fold step per word.
+    ResourceLimitError if an image grows past ``cap`` letters.
+    """
+    moves = twist_table(g).moves
+    stack = [WordImages(2 * g, cap) for _ in range(max_len + 1)]
+    for word in omega_words(g, max_len):
+        n = len(word)
+        if n:
+            images, prefix = stack[n], stack[n - 1]
+            images.pos[:] = prefix.pos
+            images.neg[:] = prefix.neg
+            fold(images, moves, word.letters[-1:])
+        yield word, tuple(stack[n].pos)
+
+
+def _normal_forms(g: int, max_len: int) -> tuple[int, int, dict]:
+    """One pass over the ball: the number of words, the number whose
+    images differ from the first word's of the same normal form, and
+    each normal form's letters mapped to that first word's images."""
+    forms: dict[tuple[int, ...], tuple] = {}
+    total = mismatches = 0
+    for word, images in omega_ball(g, max_len):
+        total += 1
+        form = tuple(itertools.chain.from_iterable(_buckets(g, word.letters)))
+        mismatches += forms.setdefault(form, images) != images
+    return total, mismatches, forms
 
 
 def _sweep_witness(total: int, failures: int) -> str:
@@ -232,15 +263,9 @@ def _sweep_witness(total: int, failures: int) -> str:
 
 
 def verify_normal_form_sweep(ctx: GenusContext, max_len: int) -> VerificationReport:
-    """Exhaustively confirm the normal form preserves the realized map."""
-    failures = 0
-    total = 0
-    for word in omega_words(ctx.g, max_len):
-        total += 1
-        try:
-            omega_normal_form(word)
-        except BraidactError:
-            failures += 1
+    """Exhaustively confirm that words with the same normal form act alike,
+    i.e. the normal form, which lies in the same ball, preserves the map."""
+    total, failures, _ = _normal_forms(ctx.g, max_len)
     checks = (
         condition_check(
             f"monoid.g{ctx.g}.normal-form-sweep",
@@ -262,28 +287,26 @@ def free_monoid_oracle(max_len: int, distinct_len: int = 8) -> VerificationRepor
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    a, b = sl2_matrices()
-    identity = IntMatrix.identity(2)
+    a, b = (m.rows[0] + m.rows[1] for m in sl2_matrices())
+    identity = (1, 0, 0, 1)
 
-    identity_hits = 0
-    total = 0
-    frontier = [a, b]
-    for _ in range(max_len):
-        total += len(frontier)
-        identity_hits += sum(m == identity for m in frontier)
-        frontier = [m * x for m in frontier for x in (a, b)]
+    def times(m, x):  # 2x2 matrices as row-major tuples
+        return (m[0] * x[0] + m[1] * x[2], m[0] * x[1] + m[1] * x[3],
+                m[2] * x[0] + m[3] * x[2], m[2] * x[1] + m[3] * x[3])
 
-    seen: dict[tuple, int] = {}
-    collisions = 0
-    distinct_total = 0
+    total = identity_hits = distinct_total = 0
+    seen = set()
     frontier = [a, b]
-    for _ in range(distinct_len):
-        for m in frontier:
-            distinct_total += 1
-            key = m.rows
-            collisions += key in seen
-            seen[key] = 1
-        frontier = [m * x for m in frontier for x in (a, b)]
+    for length in range(1, max(max_len, distinct_len) + 1):
+        if length > 1:
+            frontier = [times(m, x) for m in frontier for x in (a, b)]
+        if length <= max_len:
+            total += len(frontier)
+            identity_hits += frontier.count(identity)
+        if length <= distinct_len:
+            distinct_total += len(frontier)
+            seen.update(frontier)
+    collisions = distinct_total - len(seen)
 
     checks = (
         condition_check(
@@ -305,26 +328,28 @@ def free_monoid_oracle(max_len: int, distinct_len: int = 8) -> VerificationRepor
 
 
 def verify_section(ctx: GenusContext, max_len: int) -> VerificationReport:
-    """The braid action undoes the crossing lift on an exhaustive ball.
+    """Distinct normal forms act distinctly on an exhaustive ball.
 
-    For every omega word w up to max_len, the braid with the same
-    letters acts on F_2g exactly as w does.
+    The monoid is then free on its blocks, and lifting each element's
+    normal form to the braid with the same letters sections the braid
+    action on it.  A failure names the normal forms that act alike.
     """
-    if ctx.g < 2:
+    g = ctx.g
+    if g < 2:
         raise MalformedWordError("the section check needs genus >= 2")
-    failures = 0
-    total = 0
-    for word in omega_words(ctx.g, max_len):
-        total += 1
-        if braid_automorphism(ctx, word.braid_lift()) != word.automorphism():
-            failures += 1
+    total, _, forms = _normal_forms(g, max_len)
+    alike: dict[tuple, list] = {}
+    for form, images in forms.items():
+        alike.setdefault(images, []).append(form)
+    collisions = [" = ".join(format_omega(OmegaWord(g, f)) or "1" for f in fs)
+                  for fs in alike.values() if len(fs) > 1]
     checks = (
         condition_check(
-            f"monoid.g{ctx.g}.section",
-            f"braid lift sections the action on all {total} words of length"
-            f" <= {max_len} (genus {ctx.g})",
-            total > 0 and failures == 0,
-            witness=_sweep_witness(total, failures),
+            f"monoid.g{g}.section",
+            f"the {len(forms)} normal forms of all {total} words of length"
+            f" <= {max_len} give distinct automorphisms (genus {g})",
+            total > 0 and not collisions,
+            witness=_sweep_witness(total, len(collisions)) + "".join(f"; {c}" for c in collisions),
         ),
     )
-    return VerificationReport(f"omega-section(g={ctx.g})", checks)
+    return VerificationReport(f"omega-section(g={g})", checks)

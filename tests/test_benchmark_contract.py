@@ -1,0 +1,46 @@
+"""The verify-g4 benchmark's recorded answers must still hold.
+
+The benchmark checks ``verify all --genus 4 --max-len 5 --json`` against
+``perfbench/verify_g4_verdicts.json`` and, in traced runs, expects
+``monoid.omega_words`` to yield a closed-form number of words, counted
+through ``perfbench/tracer.py``.  The tracer rebinds package names
+process-wide, hence the subprocess.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+from tracer import Tracer
+from braidact import cli, monoid
+tracer = Tracer()
+tracer.patch_generator(monoid, "omega_words", "monoid.words_enumerated")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["verify", "all", "--genus", "4", "--max-len", "5", "--json"])
+verdicts = {c["check_id"]: c["status"] for c in json.loads(out.getvalue())}
+words = tracer.counters["monoid.words_enumerated"]
+print(json.dumps({"exit": code, "verdicts": verdicts, "words": words}))
+"""
+
+
+def test_verify_g4_matches_the_benchmark_answer_key():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    expected = json.loads((ROOT / "perfbench" / "verify_g4_verdicts.json").read_text())
+    assert result["verdicts"] == expected
+    assert result["exit"] == 1  # 13 sp4 checks fail by design
+    # the normal-form sweep's ball (length <= 5) and the section's (<= 4)
+    assert result["words"] == 9331 + 1555 == 10886

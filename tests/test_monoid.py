@@ -4,6 +4,8 @@ import pytest
 
 from braidact import GenusContext, MalformedWordError, WordSyntaxError, twist_automorphism
 from braidact import monoid
+from braidact.action import twist_table
+from braidact.errors import BraidactError, ResourceLimitError
 from braidact.monoid import OmegaWord, format_omega, omega_normal_form, parse_omega
 
 
@@ -121,6 +123,36 @@ def test_section_exhaustive_at_genus_two():
 def test_section_single_letters_at_genus_three():
     report = monoid.verify_section(GenusContext(3), 1)
     assert report.all_passed()
+
+
+def test_ball_images_match_the_word_automorphisms():
+    """The prefix-shared fold against a fresh fold of every word."""
+    for g, max_len in ((2, 4), (3, 3)):
+        words = 0
+        for word, images in monoid.omega_ball(g, max_len):
+            words += 1
+            assert images == tuple(w.letters for w in word.automorphism().images), word
+        assert words == sum((g + 2) ** n for n in range(max_len + 1))
+
+
+def test_ball_fold_trips_the_length_cap():
+    with pytest.raises(ResourceLimitError):
+        list(monoid.omega_ball(2, 3, cap=1))
+
+
+def test_section_fails_when_two_forms_act_alike(monkeypatch):
+    moves = twist_table(2).moves
+    monkeypatch.setitem(moves, -4, moves[-2])  # t_4^-1 now acts as t_2^-1
+    (check,) = monoid.verify_section(GenusContext(2), 2).checks
+    assert check.status == "fail"
+    assert "U2 = U4" in check.witness["left"].split("; ")
+
+
+def test_block_table_rejects_non_commuting_blocks(monkeypatch):
+    # t_3^-1 would sit in another block than its neighbour t_2^-1
+    monkeypatch.setattr(monoid, "omega_alphabet", lambda g: (1, 7, -2, -3, -6))
+    with pytest.raises(BraidactError, match="non-commuting swap"):
+        monoid._blocks.__wrapped__(3)
 
 
 def test_braid_lift_letters_coincide():
