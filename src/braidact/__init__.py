@@ -34,7 +34,6 @@ from .endo import (
     Automorphism,
     Endomorphism,
     format_endomorphism,
-    make_automorphism,
     parse_endomorphism,
 )
 from .errors import (
@@ -96,7 +95,6 @@ __all__ = [
     "half_twist",
     "is_symplectic",
     "kernel_backend",
-    "make_automorphism",
     "parse_braid",
     "parse_endomorphism",
     "parse_word",

@@ -68,7 +68,6 @@ class GenusContext(Value):
         return FreeWord(self.rank, codes)
 
 
-@lru_cache(maxsize=None)
 def _twist(g: int, index: int) -> Automorphism:
     ctx = GenusContext(g)
     n = ctx.rank
@@ -106,7 +105,7 @@ def twist_automorphism(ctx: GenusContext, index: int) -> Automorphism:
         raise MalformedWordError(
             f"twist index {index} out of range 1..{2 * ctx.g + 1}"
         )
-    return _twist(ctx.g, index)
+    return twist_table(ctx.g).automorphism((index,))
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ import argparse
 import gc
 import json
 import sys
+from functools import lru_cache
 
 from . import monoid, sp4
 from .action import GenusContext, twist_table, verify_center_vanishes, verify_u_braid_relations
@@ -89,6 +90,7 @@ def _run_suite(name: str, genus: int, max_len: int, seed: int) -> VerificationRe
     raise BraidactError(f"unknown suite {name!r}")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidact",
@@ -136,8 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "apply":
             cap = DEFAULT_LENGTH_CAP if args.max_len is None else args.max_len
@@ -170,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "parse":
             if args.kind == "word":
-                text = format_word(parse_word(args.text, 2 * args.genus))
+                text = format_word(parse_word(args.text, GenusContext(args.genus).rank))
             elif args.kind == "braid":
                 text = format_braid(parse_braid(args.text, args.strands))
             else:
@@ -184,11 +185,11 @@ def main(argv: list[str] | None = None) -> int:
             if not args.json and args.suite in ("symplectic", "all"):
                 print(f"seed: {args.seed}")
             report = _run_suite(args.suite, args.genus, args.max_len, args.seed)
-            # CPython frees cyclic garbage (each call's argparse parser) and
-            # empties its free lists only in a full collection, which it
-            # starts by allocation count.  The prefix-shared sweeps allocate
-            # so little that, without this, 50 in-process `verify all
-            # --genus 4` runs grew the resident set by 2.7 MB.
+            # CPython frees cyclic garbage and empties its free lists only
+            # in a full collection, which it starts by allocation count.
+            # The prefix-shared sweeps allocate so little that, without
+            # this, 54 in-process `verify all --genus 4` runs grew the
+            # resident set by 2.5 MB.
             gc.collect()
             return _print_report(report, args.json)
     except ResourceLimitError as exc:

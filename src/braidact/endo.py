@@ -5,21 +5,22 @@ applies ``e2`` first, then ``e1``, so the images of the product are
 ``e1(e2(x_k))``.  Equality of endomorphisms of a free group is equality
 of generator images, which word reduction makes a plain comparison.
 
-An Automorphism carries an inverse.  A pair given by the caller is
-checked to be mutually inverse at construction time; every other
-automorphism is derived from verified ones.  General inversion in
-Aut(F_n) is out of scope, but every map built here has a closed-form
-inverse or is a word in maps that do.
+An Automorphism is a word in verified generators: a pair given by the
+caller is checked to be mutually inverse at construction time, and
+every other automorphism is a letter sequence over a ``GeneratorTable``
+of such pairs.  General inversion in Aut(F_n) is out of scope; the
+inverse of a word is the inverted word.
 
-A ``GeneratorTable`` evaluates words in a fixed list of verified
-generators with the sparse forward-only fold of ``braidact.fold``: it
-touches only the images each letter moves, and the inverse of the
-result, when a caller asks for it, is the fold of the inverted word.
+A ``GeneratorTable`` evaluates words in its generators with the sparse
+forward-only fold of ``braidact.fold``: it touches only the images each
+letter moves.  A product over one table concatenates the letters, and a
+product over two tables is the word ``1 2`` over a table of the two
+factors.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import _kernels
 from .errors import NotInverseError, RankMismatchError, WordSyntaxError
@@ -154,14 +155,15 @@ class Endomorphism:
 
 
 class Automorphism:
-    """An invertible Endomorphism bundled with its inverse.
+    """An automorphism of F_rank as a word over a table of verified generators.
 
-    The constructor checks a given pair.  An automorphism derived from
-    verified ones (a product, a power, a fold) may defer its inverse,
-    which ``backward`` then computes on first use.
+    ``letters`` name generators of ``table`` (``-i`` the inverse of the
+    i-th) and ``forward`` is their fold; ``backward``, the fold of the
+    inverted letters, is computed on first use.  The constructor checks
+    a given pair and makes it the one generator of its own table.
     """
 
-    __slots__ = ("forward", "_backward")
+    __slots__ = ("table", "letters", "forward", "_backward")
 
     def __init__(self, forward: Endomorphism, backward: Endomorphism):
         if forward.rank != backward.rank:
@@ -179,31 +181,17 @@ class Automorphism:
                     )
         self.forward = forward
         self._backward = backward
-
-    @classmethod
-    def _trusted(
-        cls,
-        forward: Endomorphism,
-        backward: Endomorphism | Callable[[], Endomorphism],
-    ) -> "Automorphism":
-        """Internal: skip the inverse check (for maps derived from verified ones).
-
-        ``backward`` may be a function that computes the inverse.
-        """
-        a = object.__new__(cls)
-        a.forward = forward
-        a._backward = backward
-        return a
+        self.table = GeneratorTable(forward.rank, (self,))
+        self.letters = (1,)
 
     @classmethod
     def identity(cls, rank: int) -> "Automorphism":
-        e = Endomorphism.identity(rank)
-        return cls._trusted(e, e)
+        return GeneratorTable(rank, ()).automorphism(())
 
     @property
     def backward(self) -> Endomorphism:
-        if not isinstance(self._backward, Endomorphism):
-            self._backward = self._backward()
+        if self._backward is None:
+            self._backward = self.inverse().forward
         return self._backward
 
     @property
@@ -221,19 +209,21 @@ class Automorphism:
         return self.forward.apply(word)
 
     def inverse(self) -> "Automorphism":
-        return Automorphism._trusted(self.backward, self.forward)
+        return self ** -1
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
+        """The concatenated letters over a shared table, not freely reduced
+        (the folded images decide equality); else the word ``1 2`` over a
+        table of the two factors."""
         if not isinstance(other, Automorphism):
             return NotImplemented
-        return Automorphism._trusted(
-            self.forward * other.forward, other.backward * self.backward
-        )
+        if self.table is other.table:
+            return self.table.automorphism(self.letters + other.letters)
+        return GeneratorTable(self.rank, (self, other)).automorphism((1, 2))
 
     def __pow__(self, exponent: int) -> "Automorphism":
-        base = self if exponent >= 0 else self.inverse()
-        k = abs(exponent)
-        return Automorphism._trusted(base.forward ** k, lambda: base.backward ** k)
+        letters = self.letters if exponent >= 0 else _kernels.invert_reduced(self.letters)
+        return self.table.automorphism(letters * abs(exponent))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automorphism):
@@ -287,17 +277,13 @@ class GeneratorTable:
         return Endomorphism._adopt(self.rank, images.pos, images.neg)
 
     def automorphism(self, letters: tuple[int, ...]) -> Automorphism:
-        """The product as an automorphism; its inverse, the fold of the
-        inverted word, is computed when first asked for."""
-        return Automorphism._trusted(
-            self.endomorphism(letters),
-            lambda: self.endomorphism(_kernels.invert_reduced(letters)),
-        )
-
-
-def make_automorphism(forward: Endomorphism, backward: Endomorphism) -> Automorphism:
-    """Pair two endomorphisms, verifying they are mutually inverse."""
-    return Automorphism(forward, backward)
+        """The product as an automorphism, the word ``letters`` over this table."""
+        a = object.__new__(Automorphism)
+        a.table = self
+        a.letters = letters
+        a.forward = self.endomorphism(letters)
+        a._backward = None
+        return a
 
 
 def format_endomorphism(e: Endomorphism) -> str:

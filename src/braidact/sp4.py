@@ -70,16 +70,6 @@ class BehrGenerators(NamedTuple):
     w_alpha: IntMatrix
     w_beta: IntMatrix
 
-    def as_dict(self) -> dict[str, IntMatrix]:
-        return {
-            "x_beta": self.x_beta,
-            "x_alpha_plus_beta": self.x_alpha_plus_beta,
-            "x_two_alpha_plus_beta": self.x_two_alpha_plus_beta,
-            "x_alpha": self.x_alpha,
-            "w_alpha": self.w_alpha,
-            "w_beta": self.w_beta,
-        }
-
 
 class SpecialBraids(NamedTuple):
     """The 6-strand braids generating the kernel together with the full twist."""
@@ -211,7 +201,7 @@ def verify_surjectivity_witnesses() -> VerificationReport:
 
 def verify_lift_consistency() -> VerificationReport:
     """Each Behr generator equals the abelianized image of its braid lift."""
-    xg = behr_generators().as_dict()
+    xg = behr_generators()._asdict()
     checks = []
     for name, braid in lift_table().items():
         checks.append(

@@ -98,6 +98,14 @@ def test_parse_subcommand(capsys):
     assert code == 0 and out.strip() == "u1 U2"
 
 
+@pytest.mark.parametrize("text,genus", [("", "0"), ("a1", "-1")])
+def test_parse_word_nonpositive_genus_exits_2(capsys, text, genus):
+    code, out, err = run(capsys, "parse", "word", text, "--genus", genus)
+    assert code == 2
+    assert out == ""
+    assert "genus must be >= 1" in err
+
+
 def test_verify_relations_exits_0(capsys):
     code, out, _ = run(capsys, "verify", "relations", "--genus", "2")
     assert code == 0
@@ -112,6 +120,14 @@ def test_verify_center_json_schema(capsys):
     for check in checks:
         assert set(check) <= {"check_id", "description", "status", "witness"}
         assert check["status"] in ("pass", "fail", "quotient-level-pass")
+
+
+def test_verify_genus_does_not_leak_into_the_next_call(capsys):
+    run(capsys, "verify", "center", "--genus", "3", "--json")
+    code, out, _ = run(capsys, "verify", "center", "--json")
+    assert code == 0
+    ids = [c["check_id"] for c in json.loads(out)]
+    assert ids and all(i.startswith("center.g2.") for i in ids)
 
 
 def test_verify_all_check_ids_are_unique(capsys):

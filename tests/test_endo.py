@@ -11,7 +11,6 @@ from braidact import (
     NotInverseError,
     RankMismatchError,
     format_endomorphism,
-    make_automorphism,
     parse_endomorphism,
     sturmian_g1,
     twist_automorphism,
@@ -66,6 +65,7 @@ def test_compose_convention_right_acts_first():
     assert composite.apply(ctx.a(1)) == w(2, -2)
     assert composite.apply(ctx.b(1)) == w(2, 1)
     assert t1 * Automorphism.identity(2) == t1
+    assert Automorphism.identity(2) * t1 == t1
 
 
 def test_cycle_square_at_genus_two():
@@ -85,6 +85,9 @@ def test_power():
     assert (t1.forward ** 2).apply(ctx.b(1)) == w(2, 1, 1, 2)  # b1 -> a1 a1 b1
     cycle = twist_automorphism(ctx, 1) * twist_automorphism(ctx, 2) * twist_automorphism(ctx, 3)
     assert (cycle ** 4).is_identity()
+    for k in (1, 2, 5):
+        assert cycle ** -k == (cycle ** k).inverse()
+        assert (t1 ** -k).letters == (-1,) * k
 
 
 def test_equality_of_endomorphisms():
@@ -92,22 +95,28 @@ def test_equality_of_endomorphisms():
     t1 = twist_automorphism(ctx, 1)
     assert t1 == twist_automorphism(ctx, 1)
     assert t1 != Automorphism.identity(2)
+    for i in (1, 2, 3):
+        t = twist_automorphism(ctx, i)
+        product = t * t.inverse()
+        # letters over one table concatenate unreduced; the images decide
+        assert product.letters == (i, -i)
+        assert product.is_identity() and product == Automorphism.identity(2)
 
 
-def test_make_automorphism_accepts_closed_form_inverses():
+def test_constructor_accepts_closed_form_inverses():
     fwd = Endomorphism.from_image_map(2, {2: w(2, 1, 2)})  # b -> ab
     bwd = Endomorphism.from_image_map(2, {2: w(2, -1, 2)})  # b -> a^-1 b
-    make_automorphism(fwd, bwd)
+    Automorphism(fwd, bwd)
 
     fwd2 = Endomorphism.from_image_map(2, {1: w(2, -2, 1)})  # a -> b^-1 a
     bwd2 = Endomorphism.from_image_map(2, {1: w(2, 2, 1)})  # a -> b a
-    make_automorphism(fwd2, bwd2)
+    Automorphism(fwd2, bwd2)
 
 
-def test_make_automorphism_rejects_non_inverse_with_witness():
+def test_constructor_rejects_non_inverse_with_witness():
     fwd = Endomorphism.from_image_map(2, {2: w(2, 1, 2)})
     with pytest.raises(NotInverseError) as exc:
-        make_automorphism(fwd, fwd)
+        Automorphism(fwd, fwd)
     assert exc.value.generator == 2
 
 
@@ -145,6 +154,12 @@ def test_genus_one_twists_are_the_sturmian_morphisms():
     assert twist_automorphism(ctx, 1) == classic["G"]
     assert twist_automorphism(ctx, 2) == classic["D"].inverse()
     assert twist_automorphism(ctx, 3) == classic["Gt"]
+    # factors over different tables: the word 1 2 over a table of both
+    t2 = twist_automorphism(ctx, 2)
+    product = classic["G"] * t2
+    assert product.letters == (1, 2)
+    assert product.forward == classic["G"].forward * t2.forward
+    assert product.backward == t2.backward * classic["G"].backward
 
 
 def test_endomorphism_text_roundtrip():

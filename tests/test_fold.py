@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 
 from braidact import (
+    Automorphism,
     Endomorphism,
     FreeWord,
     GenusContext,
@@ -20,7 +21,6 @@ from braidact import (
     artin_action,
     braid_automorphism,
     braid_matrix,
-    make_automorphism,
     symplectic_inverse,
     twist_automorphism,
 )
@@ -41,7 +41,7 @@ def dense_word_composite(generator, rank, letters):
 
 def artin_generator(n, i):
     """x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i, with its inverse."""
-    return make_automorphism(
+    return Automorphism(
         Endomorphism.from_image_map(n, {i: FreeWord(n, (i, i + 1, -i)), i + 1: FreeWord(n, (i,))}),
         Endomorphism.from_image_map(n, {i: FreeWord(n, (i + 1,)), i + 1: FreeWord(n, (-(i + 1), i, i + 1))}),
     )

@@ -21,7 +21,7 @@ def test_behr_generators_are_symplectic_and_exact():
         ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     )
     assert xg.w_beta == IntMatrix(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0)))
-    for m in xg.as_dict().values():
+    for m in xg._asdict().values():
         assert is_symplectic(m, 2)
 
 
