@@ -47,6 +47,7 @@ from .errors import (
     StrandMismatchError,
     UsageError,
     WordSyntaxError,
+    WorkBudgetError,
 )
 from .matrices import IntMatrix
 from .report import Check, VerificationReport
@@ -82,6 +83,7 @@ __all__ = [
     "UsageError",
     "VerificationReport",
     "WordSyntaxError",
+    "WorkBudgetError",
     "artin_action",
     "braid_automorphism",
     "braid_matrix",

@@ -4,6 +4,10 @@ A word over a free alphabet is a sequence of nonzero signed integers:
 ``+k`` is the k-th generator, ``-k`` its inverse.  "Reduced" means no
 adjacent pair ``x, -x``.  Every kernel returns a reduced tuple.
 
+Joining two reduced words can cancel letters only at the seam between
+them, so ``concat_reduced`` and ``substitute`` compare letters there and
+copy the rest of each word in one slice or ``extend``.
+
 This module is the reference implementation; ``_core.pyx`` is a compiled
 twin with identical semantics, selected at import time by the package
 ``__init__``.
@@ -12,6 +16,7 @@ twin with identical semantics, selected at import time by the package
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import neg
 
 from braidact.errors import ResourceLimitError
 
@@ -44,7 +49,7 @@ def concat_reduced(w1: Sequence[int], w2: Sequence[int]) -> tuple[int, ...]:
 
 def invert_reduced(w: Sequence[int]) -> tuple[int, ...]:
     """Inverse of a reduced word: reversed order, flipped signs."""
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def substitute(
@@ -53,22 +58,29 @@ def substitute(
     word: Sequence[int],
     cap: int,
 ) -> tuple[int, ...]:
-    """Apply a generator substitution to a reduced word, reducing on the fly.
+    """Apply a generator substitution to a word, reducing on the fly.
 
     ``pos_images[k-1]`` / ``neg_images[k-1]`` are the reduced images of
-    the k-th generator and of its inverse.  Raises ResourceLimitError as
-    soon as the reduced intermediate exceeds ``cap`` letters.
+    the k-th generator and of its inverse.  The running result and each
+    image are reduced, so letters cancel only at the seam between them:
+    pop while the top of the stack inverts the image's next letter, then
+    append the rest of the image whole.  Within one image the stack only
+    shrinks and then only grows, so checking ``cap`` once per image
+    raises ResourceLimitError on the same call as checking every push.
+    An unreduced ``word`` still gives the reduced result: its ``x, -x``
+    pairs cancel through the seam.
     """
     stack: list[int] = []
-    push = stack.append
     pop = stack.pop
+    extend = stack.extend
     for x in word:
         image = pos_images[x - 1] if x > 0 else neg_images[-x - 1]
-        for y in image:
-            if stack and stack[-1] == -y:
-                pop()
-            else:
-                push(y)
-                if len(stack) > cap:
-                    raise ResourceLimitError(cap)
+        j = 0
+        n = len(image)
+        while j < n and stack and stack[-1] == -image[j]:
+            pop()
+            j += 1
+        extend(image[j:])
+        if len(stack) > cap:
+            raise ResourceLimitError(cap)
     return tuple(stack)

@@ -86,10 +86,7 @@ class BraidWord(Value):
 
     def __pow__(self, exponent: int) -> "BraidWord":
         base = self if exponent >= 0 else self.inverse()
-        out = BraidWord.identity(self.strands)
-        for _ in range(abs(exponent)):
-            out = out * base
-        return out
+        return BraidWord(self.strands, base.letters * abs(exponent))
 
     def conjugated_by(self, c: "BraidWord") -> "BraidWord":
         """c * self * c^-1."""

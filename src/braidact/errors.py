@@ -56,6 +56,10 @@ class DimensionMismatchError(BraidactError, ValueError):
     """Matrix dimensions are incompatible with the requested operation."""
 
 
+class WorkBudgetError(BraidactError, RuntimeError):
+    """A command asks for more work than its stated budget allows."""
+
+
 class ResourceLimitError(BraidactError, RuntimeError):
     """A word grew past the configured length cap during substitution."""
 

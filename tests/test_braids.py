@@ -39,6 +39,10 @@ def test_group_operations():
     assert b6(1, 2).inverse().letters == (-2, -1)
     assert (b6(4, 5) ** 3).letters == (4, 5) * 3
     assert ((b6(4, 5) ** 3) * (b6(4, 5) ** 3)).letters == (4, 5) * 6
+    # Copies cancel at each seam; a negative power repeats the inverse.
+    assert (b6(1, 2, -1) ** 3).letters == (1, 2, 2, 2, -1)
+    assert (b6(1, 2, -1) ** -2).letters == (1, -2, -2, -1)
+    assert (b6(3) ** 0).letters == ()
     with pytest.raises(StrandMismatchError):
         b6(1) * BraidWord(4, (1,))
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from braidact import braids
 from braidact.cli import main
 
 
@@ -87,6 +88,15 @@ def test_equal_examples(capsys):
     assert code == 0
     code, out, _ = run(capsys, "equal", "1", "2")
     assert code == 1 and out.strip() == "not equal"
+
+
+def test_equal_strands_over_budget_exits_3_before_any_table(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(braids, "_artin_table", built.append)
+    code, out, err = run(capsys, "equal", "1 2 1", "2 1 2", "--strands", "100000")
+    assert code == 3 and out == ""
+    assert "--strands 100000 is over the budget of 256 strands" in err
+    assert built == []
 
 
 def test_parse_subcommand(capsys):
