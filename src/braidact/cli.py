@@ -5,7 +5,10 @@ Subcommands: ``apply`` (act on a free-group word by a braid), ``matrix``
 ``parse`` (echo a word in canonical form), and ``verify`` (run a named
 check suite).  Exit codes: 0 success / equal / all checks passed,
 1 verified false, 2 usage or parse error, 3 resource cap or work budget
-exceeded.
+exceeded.  The work budgets are checked before any work starts:
+``equal --strands`` may be at most ``MAX_EQUAL_STRANDS``, and the omega
+balls of ``verify monoid`` and ``verify all`` may hold at most
+``MAX_BALL_WORDS`` words together.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ DEFAULT_SEED = 20260809
 # strands, 17 s and 353 MB at 1,024.
 MAX_EQUAL_STRANDS = 256
 
+# `verify monoid` and `verify all` enumerate every omega word of length
+# up to --max-len (the normal-form sweep) and up to min(4, --max-len)
+# (the section), sum (g+2)^k words per ball at g+2 letters, about 6.5 us
+# a word: 1.1 million words (genus 8, --max-len 6) took 7.3 s in 20 MB.
+MAX_BALL_WORDS = 2_000_000
+
 SUITES = ("relations", "center", "symplectic", "sp4", "monoid", "all")
 
 
@@ -56,8 +65,26 @@ def _print_report(report: VerificationReport, as_json: bool) -> int:
     return 0 if report.all_passed() else 1
 
 
-def _run_suite(name: str, genus: int, max_len: int, seed: int) -> VerificationReport:
-    ctx = GenusContext(genus)
+def _ball_words(g: int, max_len: int) -> int:
+    """Words in the omega balls of the monoid suite at genus g.
+
+    The count stops as soon as it passes MAX_BALL_WORDS, so a huge
+    --genus or --max-len costs a few multiplications, not a huge power.
+    """
+    if g < 2:
+        return 0
+    total = 0
+    for length in (max_len, min(4, max_len)):
+        words = 1
+        for _ in range(length + 1):
+            total += words
+            if total > MAX_BALL_WORDS:
+                return total
+            words *= g + 2
+    return total
+
+
+def _run_suite(name: str, ctx: GenusContext, max_len: int, seed: int) -> VerificationReport:
     if name == "relations":
         return verify_u_braid_relations(ctx)
     if name == "center":
@@ -78,7 +105,7 @@ def _run_suite(name: str, genus: int, max_len: int, seed: int) -> VerificationRe
             monoid.check_omega_alphabet(ctx),
             monoid.free_monoid_oracle(max_len=10),
         ]
-        if genus >= 2:
+        if ctx.g >= 2:
             reports.append(monoid.verify_normal_form_sweep(ctx, max_len))
             reports.append(monoid.verify_section(ctx, min(4, max_len)))
         return merge_reports("monoid", reports)
@@ -86,11 +113,11 @@ def _run_suite(name: str, genus: int, max_len: int, seed: int) -> VerificationRe
         return merge_reports(
             "all",
             (
-                _run_suite("relations", genus, max_len, seed),
-                _run_suite("center", genus, max_len, seed),
-                _run_suite("symplectic", genus, max_len, seed),
-                _run_suite("sp4", genus, max_len, seed),
-                _run_suite("monoid", genus, max_len, seed),
+                _run_suite("relations", ctx, max_len, seed),
+                _run_suite("center", ctx, max_len, seed),
+                _run_suite("symplectic", ctx, max_len, seed),
+                _run_suite("sp4", ctx, max_len, seed),
+                _run_suite("monoid", ctx, max_len, seed),
             ),
         )
     raise BraidactError(f"unknown suite {name!r}")
@@ -141,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-len",
         type=int,
         default=5,
-        help="enumeration bound for the monoid normal-form sweep",
+        help="enumeration bound for the monoid normal-form sweep; the omega"
+        f" balls may hold at most {MAX_BALL_WORDS} words (more exits 3)",
     )
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--json", action="store_true")
@@ -198,9 +226,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             if args.max_len < 0:
                 raise UsageError(f"--max-len must be at least 0, got {args.max_len}")
+            ctx = GenusContext(args.genus)
+            ball_words = _ball_words(ctx.g, args.max_len) if args.suite in ("monoid", "all") else 0
+            if ball_words > MAX_BALL_WORDS:
+                raise WorkBudgetError(
+                    f"--genus {ctx.g} --max-len {args.max_len} is over the budget of "
+                    f"{MAX_BALL_WORDS} omega words"
+                )
             if not args.json and args.suite in ("symplectic", "all"):
                 print(f"seed: {args.seed}")
-            report = _run_suite(args.suite, args.genus, args.max_len, args.seed)
+            report = _run_suite(args.suite, ctx, args.max_len, args.seed)
             # CPython frees cyclic garbage and empties its free lists only
             # in a full collection, which it starts by allocation count.
             # The prefix-shared sweeps allocate so little that, without

@@ -54,17 +54,12 @@ class Endomorphism:
         self._neg = None
 
     @classmethod
-    def _adopt(
-        cls,
-        rank: int,
-        pos: Sequence[tuple[int, ...]],
-        neg: Sequence[tuple[int, ...]] | None = None,
-    ) -> "Endomorphism":
-        """Internal: adopt reduced, validated image letters (and their inverses)."""
+    def _adopt(cls, rank: int, pos: Sequence[tuple[int, ...]]) -> "Endomorphism":
+        """Internal: adopt reduced, validated image letters."""
         e = object.__new__(cls)
         e.rank = rank
         e._pos = tuple(pos)
-        e._neg = None if neg is None else tuple(neg)
+        e._neg = None
         return e
 
     @classmethod
@@ -274,7 +269,7 @@ class GeneratorTable:
         step.
         """
         images = fold(WordImages(self.rank, cap), self.moves, letters)
-        return Endomorphism._adopt(self.rank, images.pos, images.neg)
+        return Endomorphism._adopt(self.rank, images.pos)
 
     def automorphism(self, letters: tuple[int, ...]) -> Automorphism:
         """The product as an automorphism, the word ``letters`` over this table."""

@@ -18,7 +18,8 @@ The same loop serves two kinds of image:
 
 - ``WordImages``: free-group words, where a step substitutes the
   current images into the generator's image (the twist and Artin
-  actions, on F_n);
+  actions, on F_n).  An image is inverted on first read: only when a
+  later step's action reads its generator inverted;
 - ``ColumnImages``: integer column vectors, where a step replaces the
   moved columns with integer combinations of the current ones (the
   matrix shadow; each twist is a transvection moving one or two
@@ -27,6 +28,7 @@ The same loop serves two kinds of image:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import _kernels
@@ -53,11 +55,13 @@ def fold(images, moves: Moves, letters: Sequence[int]):
 
 
 class WordImages:
-    """Reduced free-group images of the generators, each with its inverse.
+    """Reduced free-group images of the generators, inverted on first read.
 
     An action is a reduced letter tuple over the generators; evaluating
     it substitutes the current images, and a word longer than ``cap``
-    raises ResourceLimitError.  Only installed images are inverted.
+    raises ResourceLimitError.  ``neg[k]`` is the inverse of ``pos[k]``,
+    or None until an action reads generator k+1 inverted: installing an
+    image only marks its inverse as not yet computed.
     """
 
     __slots__ = ("pos", "neg", "cap")
@@ -68,24 +72,35 @@ class WordImages:
         self.cap = cap
 
     def evaluate(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        return _kernels.substitute(self.pos, self.neg, word, self.cap)
+        pos, neg = self.pos, self.neg
+        for x in word:
+            if x < 0 and neg[-x - 1] is None:
+                neg[-x - 1] = _kernels.invert_reduced(pos[-x - 1])
+        return _kernels.substitute(pos, neg, word, self.cap)
 
     def __setitem__(self, k: int, letters: tuple[int, ...]) -> None:
         self.pos[k] = letters
-        self.neg[k] = _kernels.invert_reduced(letters)
+        self.neg[k] = None
+
+
+@lru_cache(maxsize=None)
+def _identity_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """The columns of the n x n identity, built once per size."""
+    return tuple(tuple(int(i == k) for i in range(n)) for k in range(n))
 
 
 class ColumnImages:
-    """Integer column vectors, one per basis vector.
+    """Integer column vectors, one per basis vector, from the identity.
 
     An action is a tuple of ``(k, coefficient)`` pairs; evaluating it
-    gives that integer combination of the current columns.
+    gives that integer combination of the current columns, so every
+    entry is an ``int``.
     """
 
     __slots__ = ("columns",)
 
     def __init__(self, n: int):
-        self.columns = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        self.columns = list(_identity_columns(n))
 
     def evaluate(self, combination: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
         columns = self.columns

@@ -28,6 +28,13 @@ class IntMatrix(Value):
             raise DimensionMismatchError("matrix must be square")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _wrap(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Internal: adopt square rows of ints computed by this package."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     @property
     def dim(self) -> int:
         return len(self.rows)

@@ -12,12 +12,16 @@ The monoid generated by the g+2 positive maps has a normal form:
 because generators whose twist indices differ by more than one commute,
 every product sorts into a block over {t_1, t_2^-1}, then powers of
 t_4^-1 ... t_{2g-2}^-1, then a block over {t_2g^-1, t_{2g+1}}, moving
-letters only past commuting ones.  Over an exhaustive ball,
+letters only past commuting ones: the normal form is the stable sort of
+the letters by block.  Over an exhaustive ball,
 ``verify_normal_form_sweep`` checks that words with the same normal form
 act alike, and ``verify_section`` that distinct normal forms act
 distinctly: the monoid is free on its blocks, so lifting normal forms to
 braid crossings sections the braid action on it.  Both read the ball
-from ``omega_ball``, one fold step per word on top of its prefix.
+from ``omega_ball``, one fold step per word on top of its prefix; its
+words are built from alphabet letters, so they skip the per-letter
+check that ``OmegaWord`` makes for other callers, and their images are
+positive, so the fold never inverts one.
 
 Omega-word letters reuse the signed-integer convention: ``+k`` is the
 twist t_k, ``-k`` its inverse, so the braid lift is literally the same
@@ -69,6 +73,14 @@ class OmegaWord(Value):
                 )
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "letters", raw)
+
+    @classmethod
+    def _wrap(cls, g: int, letters: tuple[int, ...]) -> "OmegaWord":
+        """Internal: adopt letters already drawn from ``omega_alphabet(g)``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "g", g)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -189,23 +201,24 @@ def _blocks(g: int) -> dict[int, int]:
     return blocks
 
 
-def _buckets(g: int, letters: Iterable[int]) -> list[list[int]]:
-    """The letters bucketed into the g+1 blocks in input order (a stable
-    counting sort); their concatenation is the normal form."""
-    blocks = _blocks(g)
-    buckets: list[list[int]] = [[] for _ in range(g + 1)]
-    for x in letters:
-        buckets[blocks[x]].append(x)
-    return buckets
+def _normal_letters(g: int, letters: Iterable[int]) -> tuple[int, ...]:
+    """The letters of the normal form: ``letters`` stably sorted by block."""
+    return tuple(sorted(letters, key=_blocks(g).__getitem__))
 
 
 def omega_normal_form(word: OmegaWord) -> OmegaNormalForm:
     """Sort an omega word into its blocks; the realized automorphism is
     checked to be unchanged."""
     g = word.g
-    buckets = _buckets(g, word.letters)
+    blocks = _blocks(g)
+    runs = {
+        block: tuple(run)
+        for block, run in itertools.groupby(_normal_letters(g, word.letters), blocks.__getitem__)
+    }
     form = OmegaNormalForm(
-        OmegaWord(g, buckets[0]), tuple(map(len, buckets[2:g])), OmegaWord(g, buckets[g])
+        OmegaWord(g, runs.get(0, ())),
+        tuple(len(runs.get(i, ())) for i in range(2, g)),
+        OmegaWord(g, runs.get(g, ())),
     )
     if form.reassembled().automorphism() != word.automorphism():
         raise BraidactError("normal form changed the realized automorphism")
@@ -215,12 +228,13 @@ def omega_normal_form(word: OmegaWord) -> OmegaNormalForm:
 def omega_words(g: int, max_len: int) -> Iterator[OmegaWord]:
     """All omega words of length 0..max_len, depth first: each word is
     followed by all its extensions, so the last shorter word yielded
-    before a word is its prefix."""
+    before a word is its prefix.  The letters come from the alphabet, so
+    no word re-checks them."""
     alphabet = omega_alphabet(g)[::-1]
     stack = [()] if max_len >= 0 else []
     while stack:
         letters = stack.pop()
-        yield OmegaWord(g, letters)
+        yield OmegaWord._wrap(g, letters)
         if len(letters) < max_len:
             stack.extend(letters + (x,) for x in alphabet)
 
@@ -235,12 +249,13 @@ def omega_ball(g: int, max_len: int, cap: int = DEFAULT_LENGTH_CAP) -> Iterator[
     moves = twist_table(g).moves
     stack = [WordImages(2 * g, cap) for _ in range(max_len + 1)]
     for word in omega_words(g, max_len):
-        n = len(word)
+        letters = word.letters
+        n = len(letters)
         if n:
             images, prefix = stack[n], stack[n - 1]
             images.pos[:] = prefix.pos
             images.neg[:] = prefix.neg
-            fold(images, moves, word.letters[-1:])
+            fold(images, moves, letters[-1:])
         yield word, tuple(stack[n].pos)
 
 
@@ -252,7 +267,7 @@ def _normal_forms(g: int, max_len: int) -> tuple[int, int, dict]:
     total = mismatches = 0
     for word, images in omega_ball(g, max_len):
         total += 1
-        form = tuple(itertools.chain.from_iterable(_buckets(g, word.letters)))
+        form = _normal_letters(g, word.letters)
         mismatches += forms.setdefault(form, images) != images
     return total, mismatches, forms
 

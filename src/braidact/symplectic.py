@@ -99,7 +99,8 @@ def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
 
     Functorially equal to abelianizing the braid's automorphism, and to
     the product of the generator matrices; each crossing recomputes only
-    the columns its transvection moves.
+    the columns its transvection moves.  The fold's columns are integer
+    combinations of identity columns, so the matrix adopts them unchecked.
     """
     if braid.strands != ctx.strands:
         raise StrandMismatchError(
@@ -107,7 +108,7 @@ def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
             f" (need {ctx.strands})"
         )
     images = fold(ColumnImages(ctx.rank), _twist_columns(ctx.g), braid.letters)
-    return IntMatrix.from_columns(images.columns)
+    return IntMatrix._wrap(tuple(zip(*images.columns)))
 
 
 def sl2_matrices() -> tuple[IntMatrix, IntMatrix]:

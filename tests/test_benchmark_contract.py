@@ -3,8 +3,12 @@
 The benchmark checks ``verify all --genus 4 --max-len 5 --json`` against
 ``perfbench/verify_g4_verdicts.json`` and, in traced runs, expects
 ``monoid.omega_words`` to yield a closed-form number of words, counted
-through ``perfbench/tracer.py``.  The tracer rebinds package names
-process-wide, hence the subprocess.
+through ``perfbench/tracer.py``.  Its ``kernels.*`` metrics count the
+word kernels by rebinding ``_kernels.substitute`` and
+``_kernels.invert_reduced``, so the package must look them up at call
+time: a kernel bound where the tracer cannot rebind it would read 0
+calls here instead of silently zeroing those metrics.  The tracer
+rebinds package names process-wide, hence the subprocess.
 """
 
 import json
@@ -18,15 +22,20 @@ SCRIPT = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 from tracer import Tracer
-from braidact import cli, monoid
+from braidact import _kernels, cli, monoid
 tracer = Tracer()
 tracer.patch_generator(monoid, "omega_words", "monoid.words_enumerated")
+for fn in ("substitute", "invert_reduced"):
+    tracer.patch_function(_kernels, fn, "kernels." + fn)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["verify", "all", "--genus", "4", "--max-len", "5", "--json"])
 verdicts = {c["check_id"]: c["status"] for c in json.loads(out.getvalue())}
 words = tracer.counters["monoid.words_enumerated"]
-print(json.dumps({"exit": code, "verdicts": verdicts, "words": words}))
+totals = tracer.totals()
+kernels = {fn: totals.get("kernels." + fn, {}).get("calls", 0)
+           for fn in ("substitute", "invert_reduced")}
+print(json.dumps({"exit": code, "verdicts": verdicts, "words": words, "kernels": kernels}))
 """
 
 
@@ -44,3 +53,7 @@ def test_verify_g4_matches_the_benchmark_answer_key():
     assert result["exit"] == 1  # 13 sp4 checks fail by design
     # the normal-form sweep's ball (length <= 5) and the section's (<= 4)
     assert result["words"] == 9331 + 1555 == 10886
+    # Every folded image is substituted into, but only images read inverted
+    # are inverted: the omega balls read none.
+    kernels = result["kernels"]
+    assert 0 < kernels["invert_reduced"] < kernels["substitute"]

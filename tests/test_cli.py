@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from braidact import braids
-from braidact.cli import main
+from braidact import braids, monoid
+from braidact.cli import MAX_BALL_WORDS, _ball_words, main
 
 
 def run(capsys, *argv):
@@ -189,3 +189,25 @@ def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite", ["monoid", "all"])
+def test_verify_balls_over_budget_exit_3_before_any_enumeration(capsys, monkeypatch, suite):
+    # About 5*10^13 words: only the patched ball may ever see this input.
+    built = []
+    monkeypatch.setattr(monoid, "omega_ball", lambda *args: built.append(args) or iter(()))
+    code, out, err = run(capsys, "verify", suite, "--genus", "50", "--max-len", "8")
+    assert code == 3 and out == "" and built == []
+    assert f"over the budget of {MAX_BALL_WORDS} omega words" in err
+
+
+def test_ball_budget_admits_the_default_sweeps():
+    assert _ball_words(4, 5) == 9331 + 1555
+    assert _ball_words(8, 5) == 111111 + 11111 <= MAX_BALL_WORDS
+    assert _ball_words(1, 5) == 0  # genus 1 has no normal-form sweep
+
+
+def test_verify_all_nonpositive_genus_exits_2_before_printing(capsys):
+    code, out, err = run(capsys, "verify", "all", "--genus", "0")
+    assert code == 2 and out == ""
+    assert "genus must be >= 1" in err

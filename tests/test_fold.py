@@ -24,7 +24,10 @@ from braidact import (
     symplectic_inverse,
     twist_automorphism,
 )
+from braidact import _kernels, monoid
 from braidact.action import twist_table
+from braidact.braids import _artin_table
+from braidact.endo import DEFAULT_LENGTH_CAP
 from braidact.symplectic import random_braid
 
 SEED = 0xF01D
@@ -118,3 +121,49 @@ def test_deferred_inverse_of_a_long_power():
     power = t ** 600
     assert (power * power.inverse()).is_identity()
     assert (t ** -600) == power.inverse()
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """The words ``_kernels.invert_reduced`` is called on, in order."""
+    calls = []
+    invert = _kernels.invert_reduced
+    monkeypatch.setattr(_kernels, "invert_reduced", lambda w: calls.append(w) or invert(w))
+    return calls
+
+
+def test_omega_ball_inverts_no_image(inversions):
+    # Omega letters map generators to positive words, so no step reads an
+    # image inverted.
+    assert len(list(monoid.omega_ball(3, 3))) == 1 + 5 + 25 + 125
+    assert inversions == []
+
+
+def test_artin_fold_reads_images_the_previous_letter_installed(inversions):
+    # Unreduced on purpose: -2, 2 and -1 each read x_2 inverted, whose
+    # image the letter before them has just installed.
+    letters = (1, -2, 2, -1, 3)
+    table = _artin_table(4)
+    generator = lambda i: artin_generator(4, i)
+    for n in range(len(letters) + 1):
+        assert table.endomorphism(letters[:n]) == dense_word_composite(generator, 4, letters[:n])
+    assert inversions
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_folded_endomorphism_applies_like_eagerly_inverted_images(g):
+    rng = random.Random(SEED + 100 * g)
+    ctx = GenusContext(g)
+    generator = lambda i: twist_automorphism(ctx, i)
+    for _ in range(20):
+        braid = random_braid(rng, ctx.strands, rng.randrange(12))
+        letters = [-rng.randrange(1, ctx.rank + 1)]
+        letters += [rng.choice((1, -1)) * rng.randrange(1, ctx.rank + 1) for _ in range(9)]
+        word = FreeWord(ctx.rank, letters)
+        assert any(x < 0 for x in word.letters)
+        e = twist_table(g).endomorphism(braid.letters)
+        pos = [w.letters for w in e.images]
+        neg = [w.inverse().letters for w in e.images]
+        eager = _kernels.substitute(pos, neg, word.letters, DEFAULT_LENGTH_CAP)
+        assert e.apply(word).letters == eager
+        assert dense_word_composite(generator, ctx.rank, braid.letters).apply(word).letters == eager

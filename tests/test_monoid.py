@@ -172,3 +172,14 @@ def test_sweeps_over_no_words_fail():
         assert "all 0 words" in check.description
         assert check.witness["left"] == "no words enumerated"
     assert monoid.verify_normal_form_sweep(ctx, 0).all_passed()
+
+
+def test_generated_omega_words_equal_checked_ones():
+    words = list(monoid.omega_words(3, 3))
+    assert len(words) == 1 + 5 + 25 + 125
+    for word in words:
+        assert word == OmegaWord(3, word.letters)
+        form = omega_normal_form(word)
+        assert form.reassembled().letters == monoid._normal_letters(3, word.letters)
+    # The checked constructor still rejects a letter outside the alphabet:
+    # test_omega_alphabet_letters pins OmegaWord(2, (3,)).

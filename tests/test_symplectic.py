@@ -16,7 +16,13 @@ from braidact import (
     twist_automorphism,
     verify_symplectic_generators,
 )
-from braidact.symplectic import random_braid, verify_sl2_braid_relation, verify_symplectic_random
+from braidact.fold import ColumnImages, fold
+from braidact.symplectic import (
+    _twist_columns,
+    random_braid,
+    verify_sl2_braid_relation,
+    verify_symplectic_random,
+)
 
 SEED = 0x51AB
 
@@ -111,3 +117,16 @@ def test_is_symplectic_matches_the_dense_definition():
                 rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice([1, -1, 2])
                 m = IntMatrix.from_rows(rows)
             assert is_symplectic(m, g) == (m.transpose() * j * m == j)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_braid_matrix_adopts_the_fold_columns_as_exact_ints(g):
+    rng = random.Random(SEED + g)
+    ctx = GenusContext(g)
+    for _ in range(10):
+        braid = random_braid(rng, ctx.strands, rng.randrange(30))
+        m = braid_matrix(ctx, braid)
+        columns = fold(ColumnImages(ctx.rank), _twist_columns(g), braid.letters).columns
+        assert m == IntMatrix.from_columns(columns)
+        assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+        assert all(type(x) is int for row in m.rows for x in row)
