@@ -18,7 +18,6 @@ Note ``==`` on BraidWord is structural (same reduced letters); use
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -29,6 +28,13 @@ from .endo import Automorphism, Endomorphism, GeneratorTable
 from .words import FreeWord
 
 
+def _in_range(letters: tuple[int, ...], strands: int) -> bool:
+    """True iff every letter is a crossing of B_strands: 0 < |x| < strands."""
+    return not letters or (
+        0 not in letters and min(letters) > -strands and max(letters) < strands
+    )
+
+
 class BraidWord(Value):
     """A word in the braid group B_strands, stored freely reduced."""
 
@@ -37,12 +43,10 @@ class BraidWord(Value):
     def __init__(self, strands: int, letters: Iterable[int] = ()):
         if strands < 2:
             raise MalformedWordError(f"need at least 2 strands, got {strands}")
-        raw = tuple(int(x) for x in letters)
-        for x in raw:
-            if x == 0 or abs(x) >= strands:
-                raise MalformedWordError(
-                    f"crossing {x} is out of range for {strands} strands"
-                )
+        raw = tuple(map(int, letters))
+        if not _in_range(raw, strands):
+            bad = next(x for x in raw if x == 0 or abs(x) >= strands)
+            raise MalformedWordError(f"crossing {bad} is out of range for {strands} strands")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", _kernels.reduce_letters(raw))
 
@@ -86,7 +90,7 @@ class BraidWord(Value):
 
     def __pow__(self, exponent: int) -> "BraidWord":
         base = self if exponent >= 0 else self.inverse()
-        return BraidWord(self.strands, base.letters * abs(exponent))
+        return BraidWord._wrap(self.strands, _kernels.reduce_letters(base.letters * abs(exponent)))
 
     def conjugated_by(self, c: "BraidWord") -> "BraidWord":
         """c * self * c^-1."""
@@ -179,28 +183,43 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
     ``k`` is the k-th generator, ``-k`` its inverse.  On six strands the
     tokens DELTA6, ALPHA, BETA and GAMMA expand to the corresponding
-    named braids.
+    named braids.  Tokens split on Python whitespace (``str.split``); an
+    error's position is the bad token's character offset.
     """
+    tokens = text.split()
+    try:
+        letters = tuple(map(int, tokens))
+    except ValueError:  # a named braid or a bad token
+        letters = None
+    if letters is None or not _in_range(letters, strands):
+        letters = _crossings(text, tokens, strands)
+    if not letters:
+        return BraidWord(strands)  # the identity, if strands >= 2
+    return BraidWord._wrap(strands, _kernels.reduce_letters(letters))
+
+
+def _crossings(text: str, tokens: list[str], strands: int) -> tuple[int, ...]:
+    """The crossings of ``tokens``, token by token: named braids expand,
+    and the first bad token raises WordSyntaxError."""
     letters: list[int] = []
-    for match in re.finditer(r"\S+", text):
-        token = match.group()
+    for i, token in enumerate(tokens):
         if token in NAMED_B6:
             if strands != 6:
-                raise WordSyntaxError(
-                    f"named braid {token} is only defined on 6 strands", match.start()
+                raise WordSyntaxError.at_token(
+                    f"named braid {token} is only defined on 6 strands", text, i
                 )
-            letters.extend(NAMED_B6[token])
+            letters += NAMED_B6[token]
             continue
         try:
             value = int(token)
         except ValueError:
-            raise WordSyntaxError(f"bad token {token!r}", match.start()) from None
+            raise WordSyntaxError.at_token(f"bad token {token!r}", text, i) from None
         if value == 0 or abs(value) >= strands:
-            raise WordSyntaxError(
-                f"crossing {value} is out of range for {strands} strands", match.start()
+            raise WordSyntaxError.at_token(
+                f"crossing {value} is out of range for {strands} strands", text, i
             )
         letters.append(value)
-    return BraidWord(strands, tuple(letters))
+    return tuple(letters)
 
 
 def format_braid(braid: BraidWord) -> str:

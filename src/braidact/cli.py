@@ -6,9 +6,10 @@ Subcommands: ``apply`` (act on a free-group word by a braid), ``matrix``
 check suite).  Exit codes: 0 success / equal / all checks passed,
 1 verified false, 2 usage or parse error, 3 resource cap or work budget
 exceeded.  The work budgets are checked before any work starts:
-``equal --strands`` may be at most ``MAX_EQUAL_STRANDS``, and the omega
-balls of ``verify monoid`` and ``verify all`` may hold at most
-``MAX_BALL_WORDS`` words together.
+``--genus`` may be at most ``MAX_GENUS`` on ``apply``, ``matrix`` and
+every ``verify`` suite but ``sp4``; ``equal --strands`` may be at most
+``MAX_EQUAL_STRANDS``; and the omega balls of ``verify monoid`` and
+``verify all`` may hold at most ``MAX_BALL_WORDS`` words together.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ from .words import format_word, parse_word
 
 DEFAULT_SEED = 20260809
 
+# `apply`, `matrix` and `verify` build the 2g+1 twists of the genus and
+# their dense abelianized matrices, and `verify symplectic` multiplies
+# 500 dense 2g x 2g matrices, so their work grows with the cube of
+# --genus: on 2 vCPUs with the pure kernels, `verify all --genus 32
+# --max-len 3` took 8.1 s in 23 MB, `verify symplectic --genus 64` 54 s,
+# and `verify monoid --genus 2000 --max-len 0` did not finish in two
+# minutes.  (`verify sp4` ignores --genus.)
+MAX_GENUS = 32
+
 # `equal` builds one dense, checked Artin generator per crossing, so its
 # set-up grows with the square of --strands: about 1 s and 32 MB at 256
 # strands, 17 s and 353 MB at 1,024.
@@ -45,6 +55,8 @@ MAX_EQUAL_STRANDS = 256
 # (the section), sum (g+2)^k words per ball at g+2 letters, about 6.5 us
 # a word: 1.1 million words (genus 8, --max-len 6) took 7.3 s in 20 MB.
 MAX_BALL_WORDS = 2_000_000
+
+GENUS_HELP = f"genus g >= 1, at most {MAX_GENUS} (larger exits 3)"
 
 SUITES = ("relations", "center", "symplectic", "sp4", "monoid", "all")
 
@@ -63,6 +75,14 @@ def _print_report(report: VerificationReport, as_json: bool) -> int:
                 print(f"       right: {check.witness.get('right', '')}")
         print(report.summary())
     return 0 if report.all_passed() else 1
+
+
+def _budgeted_genus(g: int) -> GenusContext:
+    """The genus of a command that builds its twist tables, within MAX_GENUS."""
+    ctx = GenusContext(g)
+    if ctx.g > MAX_GENUS:
+        raise WorkBudgetError(f"--genus {ctx.g} is over the budget of genus {MAX_GENUS}")
+    return ctx
 
 
 def _ball_words(g: int, max_len: int) -> int:
@@ -134,13 +154,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_apply = sub.add_parser("apply", help="act on a free-group word by a braid")
     p_apply.add_argument("braid", help="braid word, e.g. '1 -2' or 'DELTA6'")
     p_apply.add_argument("word", help="free-group word, e.g. 'a1 B2'")
-    p_apply.add_argument("--genus", type=int, default=2)
+    p_apply.add_argument("--genus", type=int, default=2, help=GENUS_HELP)
     p_apply.add_argument("--max-len", type=int, default=None, help="word length cap")
     p_apply.add_argument("--json", action="store_true")
 
     p_matrix = sub.add_parser("matrix", help="abelianized image of a braid")
     p_matrix.add_argument("braid")
-    p_matrix.add_argument("--genus", type=int, default=2)
+    p_matrix.add_argument("--genus", type=int, default=2, help=GENUS_HELP)
     p_matrix.add_argument("--json", action="store_true")
 
     p_equal = sub.add_parser("equal", help="decide equality of two braid words")
@@ -163,7 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--genus", type=int, default=2)
+    p_verify.add_argument(
+        "--genus", type=int, default=2, help=GENUS_HELP + "; verify sp4 ignores it"
+    )
     p_verify.add_argument(
         "--max-len",
         type=int,
@@ -183,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
             cap = DEFAULT_LENGTH_CAP if args.max_len is None else args.max_len
             if cap < 1:
                 raise UsageError(f"--max-len must be at least 1, got {cap}")
-            ctx = GenusContext(args.genus)
+            ctx = _budgeted_genus(args.genus)
             braid = parse_braid(args.braid, ctx.strands)
             word = parse_word(args.word, ctx.rank)
             image = twist_table(ctx.g).endomorphism(braid.letters, cap).apply(word, cap)
@@ -192,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "matrix":
-            ctx = GenusContext(args.genus)
+            ctx = _budgeted_genus(args.genus)
             braid = parse_braid(args.braid, ctx.strands)
             m = braid_matrix(ctx, braid)
             print(json.dumps(m.to_lists()) if args.json else str(m))
@@ -226,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             if args.max_len < 0:
                 raise UsageError(f"--max-len must be at least 0, got {args.max_len}")
-            ctx = GenusContext(args.genus)
+            ctx = GenusContext(args.genus) if args.suite == "sp4" else _budgeted_genus(args.genus)
             ball_words = _ball_words(ctx.g, args.max_len) if args.suite in ("monoid", "all") else 0
             if ball_words > MAX_BALL_WORDS:
                 raise WorkBudgetError(

@@ -116,14 +116,6 @@ class Endomorphism:
             tuple(_kernels.substitute(pos, neg, w, DEFAULT_LENGTH_CAP) for w in other._pos),
         )
 
-    def __pow__(self, exponent: int) -> "Endomorphism":
-        if exponent < 0:
-            raise ValueError("negative powers need an Automorphism")
-        out = Endomorphism.identity(self.rank)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Endomorphism):
             return NotImplemented

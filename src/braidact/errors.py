@@ -31,6 +31,20 @@ class WordSyntaxError(BraidactError, ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+    @classmethod
+    def at_token(cls, message: str, text: str, index: int) -> "WordSyntaxError":
+        """The error for token ``index`` of ``text.split()``.
+
+        Parsers locate a token only when it is bad: each token starts at
+        the first occurrence of its text after the end of the one before,
+        since only whitespace lies between them.
+        """
+        tokens = text.split()
+        end = 0
+        for token in tokens[:index]:
+            end = text.index(token, end) + len(token)
+        return cls(message, text.index(tokens[index], end))
+
 
 class NotInverseError(BraidactError, ValueError):
     """A supplied endomorphism pair fails to be mutually inverse.

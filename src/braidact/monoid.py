@@ -19,7 +19,7 @@ act alike, and ``verify_section`` that distinct normal forms act
 distinctly: the monoid is free on its blocks, so lifting normal forms to
 braid crossings sections the braid action on it.  Both read the ball
 from ``omega_ball``, one fold step per word on top of its prefix; its
-words are built from alphabet letters, so they skip the per-letter
+words are built from alphabet letters, so they skip the alphabet
 check that ``OmegaWord`` makes for other callers, and their images are
 positive, so the fold never inverts one.
 
@@ -31,7 +31,6 @@ letter sequence.
 from __future__ import annotations
 
 import itertools
-import re
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -43,6 +42,7 @@ from .errors import BraidactError, MalformedWordError, WordSyntaxError
 from .fold import WordImages, fold
 from .report import VerificationReport, condition_check
 from .symplectic import sl2_matrices
+from .words import token_index
 
 
 def omega_alphabet(g: int) -> tuple[int, ...]:
@@ -65,12 +65,12 @@ class OmegaWord(Value):
 
     def __init__(self, g: int, letters: Iterable[int] = ()):
         allowed = _alphabet_set(g)
-        raw = tuple(int(x) for x in letters)
-        for x in raw:
-            if x not in allowed:
-                raise MalformedWordError(
-                    f"letter {x} is not in the positivity alphabet at genus {g}"
-                )
+        raw = tuple(map(int, letters))
+        if not allowed.issuperset(raw):
+            bad = next(x for x in raw if x not in allowed)
+            raise MalformedWordError(
+                f"letter {bad} is not in the positivity alphabet at genus {g}"
+            )
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "letters", raw)
 
@@ -113,23 +113,26 @@ class OmegaWord(Value):
 
 
 def parse_omega(text: str, g: int) -> OmegaWord:
-    """Parse tokens like ``u1 u5 U2`` (uppercase = inverse letter)."""
-    token_re = re.compile(r"([uU])([1-9][0-9]*)\Z")
+    """Parse tokens like ``u1 u5 U2`` (uppercase = inverse letter).
+
+    Tokens split on Python whitespace (``str.split``); an error's
+    position is the bad token's character offset.
+    """
     letters = []
-    for match in re.finditer(r"\S+", text):
-        token = match.group()
-        m = token_re.match(token)
-        if m is None:
-            raise WordSyntaxError(f"bad token {token!r}", match.start())
-        index = int(m.group(2))
-        code = index if m.group(1) == "u" else -index
+    for i, token in enumerate(text.split()):
+        name = token[0]
+        index = token_index(token) if name in "uU" else 0
+        if not index:
+            raise WordSyntaxError.at_token(f"bad token {token!r}", text, i)
+        code = index if name == "u" else -index
         if code not in _alphabet_set(g):
-            raise WordSyntaxError(
-                f"{token!r} is not a positivity-alphabet letter at genus {g}",
-                match.start(),
+            raise WordSyntaxError.at_token(
+                f"{token!r} is not a positivity-alphabet letter at genus {g}", text, i
             )
         letters.append(code)
-    return OmegaWord(g, tuple(letters))
+    # The empty word still goes through the checks of the constructor,
+    # which rejects a genus below 1.
+    return OmegaWord._wrap(g, tuple(letters)) if letters else OmegaWord(g)
 
 
 def format_omega(word: OmegaWord) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from . import _kernels
 from .action import GenusContext, twist_automorphism
 from .braids import BraidWord
 from .errors import DimensionMismatchError, StrandMismatchError
@@ -135,12 +136,16 @@ def verify_symplectic_generators(genus_range=(1, 2, 3, 4)) -> VerificationReport
 
 
 def random_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
-    """A uniformly random (unreduced) braid word of the given length."""
+    """A uniformly random braid word, freely reduced from the given length.
+
+    Its letters are crossings of B_strands by construction, so the word
+    skips the range check of ``BraidWord``.
+    """
     letters = []
     for _ in range(length):
         i = rng.randrange(1, strands)
         letters.append(i if rng.random() < 0.5 else -i)
-    return BraidWord(strands, tuple(letters))
+    return BraidWord._wrap(strands, _kernels.reduce_letters(tuple(letters)))
 
 
 def verify_symplectic_random(

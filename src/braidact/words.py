@@ -12,7 +12,6 @@ elements is plain sequence equality.  All values are immutable.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
@@ -49,11 +48,9 @@ class FreeWord(Value):
         if rank < 0:
             raise MalformedWordError(f"rank must be >= 0, got {rank}")
         raw = tuple(x.encode() if isinstance(x, Letter) else int(x) for x in letters)
-        for x in raw:
-            if x == 0 or abs(x) > rank:
-                raise MalformedWordError(
-                    f"letter {x} is outside the alphabet of rank {rank}"
-                )
+        if raw and (0 in raw or min(raw) < -rank or max(raw) > rank):
+            bad = next(x for x in raw if x == 0 or abs(x) > rank)
+            raise MalformedWordError(f"letter {bad} is outside the alphabet of rank {rank}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", _kernels.reduce_letters(raw))
 
@@ -107,10 +104,7 @@ class FreeWord(Value):
 
     def __pow__(self, exponent: int) -> "FreeWord":
         base = self if exponent >= 0 else self.inverse()
-        out = FreeWord.identity(self.rank)
-        for _ in range(abs(exponent)):
-            out = out * base
-        return out
+        return FreeWord._wrap(self.rank, _kernels.reduce_letters(base.letters * abs(exponent)))
 
     def is_positive(self) -> bool:
         """True iff the word lies in the free monoid on the generators."""
@@ -137,7 +131,16 @@ def reduce_word(rank: int, letters: Iterable[int | Letter]) -> FreeWord:
     return FreeWord(rank, tuple(letters))
 
 
-_TOKEN = re.compile(r"([abAB])([1-9][0-9]*)\Z")
+def token_index(token: str) -> int:
+    """The positive decimal index after a token's first character, else 0.
+
+    The index is ASCII digits with no leading zero, so ``a1`` gives 1 and
+    ``a01``, ``a+1`` and ``a`` give 0.
+    """
+    digits = token[1:]
+    if digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return int(digits)
+    return 0
 
 
 def parse_word(text: str, rank: int) -> FreeWord:
@@ -145,31 +148,29 @@ def parse_word(text: str, rank: int) -> FreeWord:
 
     Lowercase tokens are generators, uppercase their inverses; the empty
     string is the identity.  Requires an even rank 2g so that the a/b
-    naming is meaningful.
+    naming is meaningful.  Tokens split on Python whitespace
+    (``str.split``); an error's position is the bad token's character
+    offset.
     """
-    stripped = text.strip()
-    if not stripped:
+    tokens = text.split()
+    if not tokens:
         return FreeWord.identity(rank)
     if rank % 2:
         raise WordSyntaxError(f"the a/b grammar needs an even rank, got {rank}", 0)
     g = rank // 2
     codes = []
-    for match in re.finditer(r"\S+", text):
-        token = match.group()
-        m = _TOKEN.match(token)
-        if m is None:
-            raise WordSyntaxError(f"bad token {token!r}", match.start())
-        name, index = m.group(1), int(m.group(2))
+    for i, token in enumerate(tokens):
+        name = token[0]
+        index = token_index(token) if name in "abAB" else 0
+        if not index:
+            raise WordSyntaxError.at_token(f"bad token {token!r}", text, i)
         if index > g:
-            raise WordSyntaxError(
-                f"index {index} in {token!r} exceeds genus {g} (rank {rank})",
-                match.start(),
+            raise WordSyntaxError.at_token(
+                f"index {index} in {token!r} exceeds genus {g} (rank {rank})", text, i
             )
         code = index if name in "aA" else g + index
-        if name.isupper():
-            code = -code
-        codes.append(code)
-    return FreeWord(rank, tuple(codes))
+        codes.append(-code if name in "AB" else code)
+    return FreeWord._wrap(rank, _kernels.reduce_letters(tuple(codes)))
 
 
 def format_word(word: FreeWord) -> str:

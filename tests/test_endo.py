@@ -81,8 +81,9 @@ def test_cycle_square_at_genus_two():
 def test_power():
     ctx = GenusContext(1)
     t1 = twist_automorphism(ctx, 1)
-    assert t1.forward ** 0 == Endomorphism.identity(2)
-    assert (t1.forward ** 2).apply(ctx.b(1)) == w(2, 1, 1, 2)  # b1 -> a1 a1 b1
+    identity = Endomorphism.identity(2)
+    assert identity * t1.forward == t1.forward * identity == t1.forward
+    assert (t1.forward * t1.forward).apply(ctx.b(1)) == w(2, 1, 1, 2)  # b1 -> a1 a1 b1
     cycle = twist_automorphism(ctx, 1) * twist_automorphism(ctx, 2) * twist_automorphism(ctx, 3)
     assert (cycle ** 4).is_identity()
     for k in (1, 2, 5):

@@ -169,10 +169,15 @@ def test_positive_words_compose_without_cancellation():
 
 
 def test_pow_matches_repeated_concat():
-    w = FreeWord(2, (1, 2))
-    assert w ** 0 == FreeWord.identity(2)
-    assert w ** 3 == w * w * w
-    assert w ** -2 == (w.inverse()) * (w.inverse())
+    # (1, 2, -1) cancels at every seam between copies; (1, 2) at none.
+    for w in (FreeWord(2, (1, 2)), FreeWord(2, (1, 2, -1)), FreeWord(2, ())):
+        for k in range(-3, 4):
+            base = w if k >= 0 else w.inverse()
+            product = FreeWord.identity(2)
+            for _ in range(abs(k)):
+                product = product * base
+            assert w ** k == product
+    assert (FreeWord(2, (1, 2, -1)) ** 3).letters == (1, 2, 2, 2, -1)
 
 
 def test_values_are_immutable_hashable_and_picklable():
