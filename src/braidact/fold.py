@@ -29,6 +29,8 @@ The same loop serves two kinds of image:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from . import _kernels
@@ -94,7 +96,11 @@ class ColumnImages:
 
     An action is a tuple of ``(k, coefficient)`` pairs; evaluating it
     gives that integer combination of the current columns, so every
-    entry is an ``int``.
+    entry is an ``int``.  The first term's column, times its
+    coefficient, starts the sum; each further term is folded in with one
+    C-level ``map``: a +-1 term adds or subtracts its column, and only a
+    coefficient of any other size scales the column first (no twist
+    table has one).  The empty combination is the zero column.
     """
 
     __slots__ = ("columns",)
@@ -104,10 +110,18 @@ class ColumnImages:
 
     def evaluate(self, combination: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
         columns = self.columns
-        terms = [
-            columns[k] if c == 1 else [c * x for x in columns[k]] for k, c in combination
-        ]
-        return tuple(map(sum, zip(*terms)))
+        if not combination:
+            return (0,) * len(columns)
+        k, c = combination[0]
+        acc = columns[k] if c == 1 else tuple(map(mul, repeat(c), columns[k]))
+        for k, c in combination[1:]:
+            if c == 1:
+                acc = tuple(map(add, acc, columns[k]))
+            elif c == -1:
+                acc = tuple(map(sub, acc, columns[k]))
+            else:
+                acc = tuple(map(add, acc, map(mul, repeat(c), columns[k])))
+        return acc
 
     def __setitem__(self, k: int, column: tuple[int, ...]) -> None:
         self.columns[k] = column

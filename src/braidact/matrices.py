@@ -1,28 +1,40 @@
 """Exact square integer matrices.
 
 Entries are Python ints, so products of long random words cannot
-overflow silently.  Determinants use the fraction-free Bareiss scheme
-and inverses go through the integer adjugate, which keeps everything in
-exact integer arithmetic; inversion is only defined for unimodular
-matrices (determinant +-1), the only case this package needs.  The
-adjugate costs O(n^5), so the braid-matrix path avoids it: symplectic
-matrices are inverted as -J M^T J (``symplectic.symplectic_inverse``).
+overflow silently.  The constructor takes integers only
+(``operator.index``): a float or a string entry raises TypeError
+instead of being truncated.  Determinants use the fraction-free Bareiss
+scheme and inverses go through the integer adjugate, which keeps
+everything in exact integer arithmetic; inversion is only defined for
+unimodular matrices (determinant +-1), the only case this package
+needs.  The adjugate costs O(n^5), so the braid-matrix path avoids it:
+symplectic matrices are inverted as -J M^T J
+(``symplectic.symplectic_inverse``).
 """
 
 from __future__ import annotations
 
 import json
+from operator import index
 from typing import Iterable, Sequence
 
 from ._value import Value
 from .errors import DimensionMismatchError, NonUnimodularError
 
 
+def _entry(x) -> int:
+    """An entry as an exact int; a float, a string or None raises TypeError."""
+    try:
+        return index(x)
+    except TypeError:
+        raise TypeError(f"matrix entries must be integers, got {x!r}") from None
+
+
 class IntMatrix(Value):
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(_entry(x) for x in row) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatchError("matrix must be square")
@@ -93,7 +105,18 @@ class IntMatrix(Value):
         return self == IntMatrix.identity(self.dim)
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by fraction-free (Bareiss) elimination.
+
+        Step k replaces each row below the pivot p = m[k][k] with
+        (row * p - f * pivot_row) // prev, where f = row[k] and prev is
+        the previous pivot, in one whole-row comprehension (left of
+        column k both rows are zero).  By Sylvester's identity every
+        entry is then a minor of the input, so the division is exact.
+        A row with f = 0 is only rescaled, x * p // prev, and left alone
+        when p == prev; in the sparse braid matrices most rows have f = 0.
+        A zero pivot is swapped with the first row below it that has a
+        nonzero entry in its column.
+        """
         n = self.dim
         if n == 0:
             return 1
@@ -109,11 +132,16 @@ class IntMatrix(Value):
                         break
                 else:
                     return 0
+            pivot_row = m[k]
+            p = pivot_row[k]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
+                row = m[i]
+                f = row[k]
+                if f:
+                    m[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot_row)]
+                elif p != prev:
+                    m[i] = [x * p // prev for x in row]
+            prev = p
         return sign * m[n - 1][n - 1]
 
     def _minor(self, i: int, j: int) -> "IntMatrix":

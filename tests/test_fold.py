@@ -28,6 +28,7 @@ from braidact import _kernels, monoid
 from braidact.action import twist_table
 from braidact.braids import _artin_table
 from braidact.endo import DEFAULT_LENGTH_CAP
+from braidact.fold import ColumnImages, fold, moved_columns
 from braidact.symplectic import random_braid
 
 SEED = 0xF01D
@@ -167,3 +168,35 @@ def test_folded_endomorphism_applies_like_eagerly_inverted_images(g):
         eager = _kernels.substitute(pos, neg, word.letters, DEFAULT_LENGTH_CAP)
         assert e.apply(word).letters == eager
         assert dense_word_composite(generator, ctx.rank, braid.letters).apply(word).letters == eager
+
+
+# Hand-made column tables, by columns.  Letters 1 and 2 move columns to
+# combinations of two and three terms with coefficients +-1, +-2 and 3;
+# letter 3 is singular: it sends column 2 to zero and column 0 to column 1.
+HAND_COLUMNS = {
+    1: ((2, -1, 0, 1), (0, 1, 0, 0), (0, 1, -2, 1), (0, 0, 0, 1)),
+    2: ((1, 0, 0, 0), (-2, 1, 1, 0), (0, 0, 1, 0), (1, 0, 3, -1)),
+    3: ((0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (-1, 0, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("letters", [(1, 2), (1, 2, 3), (3,), (2, 3, 3, 1)])
+def test_column_fold_matches_dense_product_of_hand_table(letters):
+    rng = random.Random(SEED + len(letters))
+    table = {x: moved_columns(cols) for x, cols in HAND_COLUMNS.items()}
+    assert any(not combination for _, combination in table[3])
+    assert any(c not in (1, -1) for _, comb in table[1] for _, c in comb)
+    assert any(len(comb) == 3 for _, comb in table[2])
+    for word in [letters] + [tuple(rng.choice((1, 2, 3)) for _ in range(7)) for _ in range(20)]:
+        dense = IntMatrix.identity(4)
+        for x in word:
+            dense = dense * IntMatrix.from_columns(HAND_COLUMNS[x])
+        images = fold(ColumnImages(4), table, word)
+        assert IntMatrix.from_columns(images.columns) == dense
+
+
+def test_empty_combination_is_the_zero_column():
+    images = ColumnImages(3)
+    assert images.evaluate(()) == (0, 0, 0)
+    assert images.evaluate(((1, 1),)) == (0, 1, 0)
+    assert images.evaluate(((0, -1), (2, 2))) == (-1, 0, 2)

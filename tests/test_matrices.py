@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidact import DimensionMismatchError, IntMatrix, NonUnimodularError
 
@@ -68,3 +72,99 @@ def test_json_roundtrip():
     m = IntMatrix(((0, -1), (1, 0)))
     assert IntMatrix.from_json(m.to_json()) == m
     assert m.to_json() == "[[0, -1], [1, 0]]"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((1.9, 0), (0, 1)), ((1.5, 0), (0, 1)), (("1", 0), (0, 1)), ((1, 0), (0, None))],
+)
+def test_non_integer_entries_raise(rows):
+    with pytest.raises(TypeError, match="matrix entries must be integers"):
+        IntMatrix(rows)
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows(rows)
+
+
+def test_from_json_rejects_floats():
+    with pytest.raises(TypeError):
+        IntMatrix.from_json("[[1.9, 0], [0, 1]]")
+    with pytest.raises(TypeError):
+        IntMatrix.from_json("[[1.0, 0], [0, 1]]")
+    assert IntMatrix.from_json("[[2, 0], [0, 1]]").det() == 2
+
+
+# -- det against exact rational elimination -------------------------------
+
+
+def fraction_det(rows):
+    """Gaussian elimination over the rationals, swapping in the first nonzero pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    out = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            out = -out
+        out *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    assert out.denominator == 1
+    return int(out)
+
+
+DENSE = st.integers(-9, 9)
+SPARSE = st.sampled_from((0,) * 7 + (1, -1, 2))
+
+# Each shape with the entries it is drawn from.
+SHAPES = {
+    "dense": DENSE,
+    "sparse": SPARSE,
+    "large": st.integers(-(10**30), 10**30),
+    "permuted": SPARSE,
+    "zero-row": DENSE,
+    "repeated-row": DENSE,
+}
+
+
+@st.composite
+def square_rows(draw):
+    """Square integer rows of size 0-7 in one of the ``SHAPES``.
+
+    ``sparse`` and ``permuted`` (a signed permutation with sparse noise)
+    put zeros under and on the pivots, so elimination meets zero
+    multipliers, equal consecutive pivots and pivot swaps; ``zero-row``
+    and ``repeated-row`` are singular.
+    """
+    n = draw(st.integers(0, 7))
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    entry = SHAPES[shape]
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "permuted":
+        perm = draw(st.permutations(range(n)))
+        for i, j in enumerate(perm):
+            rows[i][j] = draw(st.sampled_from((1, -1)))
+    elif shape == "zero-row" and n:
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    elif shape == "repeated-row" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+    if n and draw(st.booleans()):
+        rows[0][0] = 0  # the first pivot needs a swap, or the column is zero
+    return rows
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(square_rows())
+def test_det_matches_fraction_elimination(rows):
+    assert IntMatrix(rows).det() == fraction_det(rows)
+
+
+def test_det_of_a_sparse_matrix_that_swaps_and_rescales():
+    # The zero first pivot is swapped; both rows below it then have a zero
+    # multiplier and are rescaled (p = 2, prev = 1).
+    rows = ((0, 1, 0), (2, 0, 1), (0, 3, 1))
+    assert IntMatrix(rows).det() == fraction_det(rows) == -2
