@@ -131,8 +131,12 @@ class Endomorphism:
         return self._pos[generator - 1] == (generator,)
 
     def abelianization_matrix(self) -> IntMatrix:
-        """Induced matrix on Z^rank; column k is the abelianized image of x_k."""
-        return IntMatrix.from_columns(tuple(w.abelianized() for w in self.images))
+        """Induced matrix on Z^rank; column k is the abelianized image of x_k.
+
+        The columns are int count vectors of length rank, so their
+        transpose is adopted unchecked.
+        """
+        return IntMatrix._wrap(tuple(zip(*(w.abelianized() for w in self.images))))
 
     def __repr__(self) -> str:
         return f"Endomorphism({self.rank}, {list(self.images)!r})"

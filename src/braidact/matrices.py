@@ -10,6 +10,15 @@ unimodular matrices (determinant +-1), the only case this package
 needs.  The adjugate costs O(n^5), so the braid-matrix path avoids it:
 symplectic matrices are inverted as -J M^T J
 (``symplectic.symplectic_inverse``).
+
+One rule decides where entries are checked.  Entries that come from
+outside data are checked: ``IntMatrix(...)``, ``from_rows``,
+``from_columns`` and ``from_json`` put each one through
+``operator.index`` and check that the rows are square.  A result that a
+method computes from ``IntMatrix`` values (a product, a transpose, a
+negation, the identity, a minor, an inverse, and so powers) is already a
+square tuple of exact ints, so it is adopted unchecked through
+``IntMatrix._wrap``.
 """
 
 from __future__ import annotations
@@ -42,7 +51,12 @@ class IntMatrix(Value):
 
     @classmethod
     def _wrap(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """Internal: adopt square rows of ints computed by this package."""
+        """Internal: adopt square rows of ints computed from checked values.
+
+        ``rows`` must be a tuple of equal-length tuples of exact ints, as
+        every result computed from ``IntMatrix`` entries is; data from
+        outside the package goes through the checking constructor instead.
+        """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         return m
@@ -53,7 +67,7 @@ class IntMatrix(Value):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls._wrap(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -75,9 +89,8 @@ class IntMatrix(Value):
             raise DimensionMismatchError(
                 f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}"
             )
-        n = self.dim
         cols = tuple(zip(*other.rows))
-        return IntMatrix(
+        return IntMatrix._wrap(
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.rows
@@ -96,10 +109,10 @@ class IntMatrix(Value):
         return out
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
+        return IntMatrix._wrap(tuple(tuple(-x for x in row) for row in self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return IntMatrix._wrap(tuple(zip(*self.rows)))
 
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.dim)
@@ -145,7 +158,7 @@ class IntMatrix(Value):
         return sign * m[n - 1][n - 1]
 
     def _minor(self, i: int, j: int) -> "IntMatrix":
-        return IntMatrix(
+        return IntMatrix._wrap(
             tuple(
                 tuple(x for c, x in enumerate(row) if c != j)
                 for r, row in enumerate(self.rows)
@@ -160,7 +173,7 @@ class IntMatrix(Value):
             raise NonUnimodularError(d)
         n = self.dim
         # adj[j][i] = (-1)^{i+j} minor(i,j); inverse = adj / det = adj * det.
-        return IntMatrix(
+        return IntMatrix._wrap(
             tuple(
                 tuple(
                     d * (-1) ** (i + j) * self._minor(i, j).det() for i in range(n)

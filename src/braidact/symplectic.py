@@ -27,8 +27,16 @@ from .matrices import IntMatrix
 from .report import VerificationReport, condition_check, equality_check
 
 
+@lru_cache(maxsize=None)
 def standard_form(g: int) -> IntMatrix:
-    """The 2g x 2g alternating-form matrix [[0, I_g], [-I_g, 0]]."""
+    """The 2g x 2g alternating-form matrix [[0, I_g], [-I_g, 0]].
+
+    Built and checked once per genus and cached; ``IntMatrix`` is
+    immutable, so every caller can share it.  g = 0 gives the 0 x 0
+    form of Sp_0; a negative g raises DimensionMismatchError.
+    """
+    if g < 0:
+        raise DimensionMismatchError(f"the standard form needs genus >= 0, got {g}")
     n = 2 * g
     rows = []
     for i in range(n):
@@ -59,7 +67,7 @@ def is_symplectic(m: IntMatrix, g: int | None = None) -> bool:
     """
     g = _check_size(m, g)
     rows = m.rows
-    form_m = IntMatrix(rows[g:] + tuple(tuple(-x for x in row) for row in rows[:g]))
+    form_m = IntMatrix._wrap(rows[g:] + tuple(tuple(-x for x in row) for row in rows[:g]))
     return m.transpose() * form_m == standard_form(g)
 
 
@@ -75,7 +83,7 @@ def symplectic_inverse(m: IntMatrix) -> IntMatrix:
     rows = m.rows
     sign = (1,) * g + (-1,) * g
     p = tuple((i + g) % n for i in range(n))
-    return IntMatrix(
+    return IntMatrix._wrap(
         tuple(
             tuple(sign[i] * sign[j] * rows[p[j]][p[i]] for j in range(n))
             for i in range(n)
@@ -148,6 +156,13 @@ def random_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
     return BraidWord._wrap(strands, _kernels.reduce_letters(tuple(letters)))
 
 
+def _random_witness(count: int, bad: BraidWord | None) -> str:
+    # A check over no braids proves nothing, so it fails too.
+    if count <= 0:
+        return "no braids checked"
+    return "" if bad is None else str(bad)
+
+
 def verify_symplectic_random(
     ctx: GenusContext, count: int = 500, max_length: int = 40, seed: int = 20260809
 ) -> VerificationReport:
@@ -167,15 +182,15 @@ def verify_symplectic_random(
             f"symplectic.g{ctx.g}.random-membership",
             f"{count} random braid images at genus {ctx.g} all satisfy M^T J M = J"
             f" (seed {seed})",
-            bad_sympl is None,
-            witness="" if bad_sympl is None else str(bad_sympl),
+            count > 0 and bad_sympl is None,
+            witness=_random_witness(count, bad_sympl),
         ),
         condition_check(
             f"symplectic.g{ctx.g}.random-determinant",
             f"{count} random braid images at genus {ctx.g} all have determinant 1"
             f" (seed {seed})",
-            bad_det is None,
-            witness="" if bad_det is None else str(bad_det),
+            count > 0 and bad_det is None,
+            witness=_random_witness(count, bad_det),
         ),
     )
     return VerificationReport(f"symplectic-random(g={ctx.g})", checks)

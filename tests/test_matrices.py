@@ -168,3 +168,74 @@ def test_det_of_a_sparse_matrix_that_swaps_and_rescales():
     # multiplier and are rescaled (p = 2, prev = 1).
     rows = ((0, 1, 0), (2, 0, 1), (0, 3, 1))
     assert IntMatrix(rows).det() == fraction_det(rows) == -2
+
+
+# -- computed results are adopted exactly -----------------------------------
+
+
+def assert_exact(m):
+    """m's rows are a tuple of tuples of exact ints that the checking
+    constructor accepts unchanged."""
+    assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert IntMatrix(m.rows) == m
+
+
+UNIMODULAR = IntMatrix(((1, 0, 2), (0, 1, 0), (-1, 3, -3)))  # det -1
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda m: m * m,
+        lambda m: m * IntMatrix.identity(3),
+        lambda m: m.transpose(),
+        lambda m: -m,
+        lambda m: IntMatrix.identity(m.dim),
+        lambda m: IntMatrix.identity(0),
+        lambda m: m ** 0,
+        lambda m: m ** 3,
+        lambda m: m ** -1,
+        lambda m: m ** -4,
+        lambda m: m.inverse(),
+        lambda m: m._minor(1, 2),
+    ],
+    ids=["mul", "mul-identity", "transpose", "neg", "identity", "identity-0",
+         "pow-0", "pow-3", "pow-neg-1", "pow-neg-4", "inverse", "minor"],
+)
+def test_computed_matrices_are_exact(compute):
+    assert UNIMODULAR.det() == -1
+    assert_exact(compute(UNIMODULAR))
+
+
+def test_negative_powers_invert_a_unimodular_matrix():
+    for k in range(1, 6):
+        assert UNIMODULAR ** -k * UNIMODULAR ** k == IntMatrix.identity(3)
+
+
+def naive_product(x, y):
+    n = len(x)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += x[i][k] * y[k][j]
+    return out
+
+
+SIGNED = st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40))
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(0, 6))
+    return tuple([[draw(SIGNED) for _ in range(n)] for _ in range(n)] for _ in range(2))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(square_pairs())
+def test_mul_matches_a_naive_triple_loop(pair):
+    x, y = pair
+    product = IntMatrix(x) * IntMatrix(y)
+    assert product.to_lists() == naive_product(x, y)
+    assert_exact(product)

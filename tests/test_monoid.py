@@ -114,6 +114,14 @@ def test_free_monoid_oracle_minimal():
         monoid.free_monoid_oracle(0)
 
 
+def test_free_monoid_oracle_over_no_products_fails():
+    report = monoid.free_monoid_oracle(3, distinct_len=0)
+    no_identity, distinct = report.checks
+    assert no_identity.passed
+    assert not distinct.passed
+    assert distinct.witness["left"] == "no products compared"
+
+
 def test_section_exhaustive_at_genus_two():
     report = monoid.verify_section(GenusContext(2), 4)
     assert report.all_passed()

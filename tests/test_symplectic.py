@@ -20,6 +20,7 @@ from braidact.fold import ColumnImages, fold
 from braidact.symplectic import (
     _twist_columns,
     random_braid,
+    symplectic_inverse,
     verify_sl2_braid_relation,
     verify_symplectic_random,
 )
@@ -106,17 +107,28 @@ def test_genus_one_symplectic_is_determinant_one():
 
 def test_is_symplectic_matches_the_dense_definition():
     rng = random.Random(SEED)
-    for g in (1, 2, 3):
+    for g in range(1, 9):
         ctx = GenusContext(g)
         j = standard_form(g)
+        answers = set()
         for _ in range(40):
             m = braid_matrix(ctx, random_braid(rng, ctx.strands, rng.randrange(12)))
-            # perturb one entry half the time, which leaves Sp_2g(Z)
-            if rng.random() < 0.5:
+            kind = rng.randrange(3)
+            if kind == 1:
+                # perturb one entry, which leaves Sp_2g(Z)
                 rows = [list(row) for row in m.rows]
                 rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice([1, -1, 2])
                 m = IntMatrix.from_rows(rows)
-            assert is_symplectic(m, g) == (m.transpose() * j * m == j)
+            elif kind == 2:
+                # right-multiply by the transvection I + E_{i,i+g}, which stays in Sp_2g(Z)
+                i = rng.randrange(g)
+                rows = [[int(r == c) for c in range(2 * g)] for r in range(2 * g)]
+                rows[i][i + g] = 1
+                m = m * IntMatrix.from_rows(rows)
+            dense = m.transpose() * j * m == j
+            assert is_symplectic(m, g) == dense
+            answers.add(dense)
+        assert answers == {True, False}
 
 
 @pytest.mark.parametrize("g", range(1, 9))
@@ -128,5 +140,47 @@ def test_braid_matrix_adopts_the_fold_columns_as_exact_ints(g):
         m = braid_matrix(ctx, braid)
         columns = fold(ColumnImages(ctx.rank), _twist_columns(g), braid.letters).columns
         assert m == IntMatrix.from_columns(columns)
-        assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
-        assert all(type(x) is int for row in m.rows for x in row)
+        assert_exact(m)
+
+
+def assert_exact(m):
+    """m's rows are a tuple of tuples of exact ints that the checking
+    constructor accepts unchanged."""
+    assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert IntMatrix(m.rows) == m
+
+
+@pytest.mark.parametrize("g", range(0, 9))
+def test_standard_form_is_exact_and_cached(g):
+    j = standard_form(g)
+    assert j.dim == 2 * g
+    assert_exact(j)
+    assert standard_form(g) is j
+    with pytest.raises(AttributeError):
+        j.rows = ((1,),)
+    assert standard_form(g).dim == 2 * g
+
+
+@pytest.mark.parametrize("g", [-1, -3])
+def test_standard_form_rejects_a_negative_genus(g):
+    with pytest.raises(DimensionMismatchError, match="genus >= 0"):
+        standard_form(g)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_symplectic_results_are_exact(g):
+    rng = random.Random(SEED - g)
+    ctx = GenusContext(g)
+    m = braid_matrix(ctx, random_braid(rng, ctx.strands, 30))
+    inverse = symplectic_inverse(m)
+    assert_exact(inverse)
+    assert m * inverse == IntMatrix.identity(2 * g)
+    for i in range(1, ctx.strands):
+        assert_exact(twist_automorphism(ctx, i).abelianization_matrix())
+
+
+def test_random_suite_over_no_braids_fails():
+    report = verify_symplectic_random(GenusContext(2), count=0, seed=7)
+    assert [c.passed for c in report.checks] == [False, False]
+    assert all(c.witness["left"] == "no braids checked" for c in report.checks)
