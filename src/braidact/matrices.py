@@ -4,21 +4,19 @@ Entries are Python ints, so products of long random words cannot
 overflow silently.  The constructor takes integers only
 (``operator.index``): a float or a string entry raises TypeError
 instead of being truncated.  Determinants use the fraction-free Bareiss
-scheme and inverses go through the integer adjugate, which keeps
-everything in exact integer arithmetic; inversion is only defined for
-unimodular matrices (determinant +-1), the only case this package
-needs.  The adjugate costs O(n^5), so the braid-matrix path avoids it:
-symplectic matrices are inverted as -J M^T J
-(``symplectic.symplectic_inverse``).
+scheme.  Matrix words are not evaluated here: ``symplectic.fold_matrix``
+folds them column by column, inverting letters as -J M^T J
+(``symplectic.symplectic_inverse``).  ``inverse`` (the integer adjugate,
+unimodular matrices only, O(n^5)) is kept as an independent reference
+for that symplectic inverse.
 
 One rule decides where entries are checked.  Entries that come from
 outside data are checked: ``IntMatrix(...)``, ``from_rows``,
 ``from_columns`` and ``from_json`` put each one through
-``operator.index`` and check that the rows are square.  A result that a
+``operator.index`` and check that the shape is square.  A result that a
 method computes from ``IntMatrix`` values (a product, a transpose, a
-negation, the identity, a minor, an inverse, and so powers) is already a
-square tuple of exact ints, so it is adopted unchecked through
-``IntMatrix._wrap``.
+negation, the identity, a minor, an inverse) is already a square tuple
+of exact ints, so it is adopted unchecked through ``IntMatrix._wrap``.
 """
 
 from __future__ import annotations
@@ -67,6 +65,8 @@ class IntMatrix(Value):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        if n < 0:
+            raise DimensionMismatchError(f"the identity needs size >= 0, got {n}")
         return cls._wrap(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
@@ -76,7 +76,9 @@ class IntMatrix(Value):
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         n = len(columns)
-        return cls(tuple(tuple(columns[j][i] for j in range(n)) for i in range(n)))
+        if any(len(col) != n for col in columns):
+            raise DimensionMismatchError(f"expected {n} columns of length {n}")
+        return cls(zip(*columns))
 
     def __getitem__(self, index: tuple[int, int]) -> int:
         i, j = index
@@ -96,17 +98,6 @@ class IntMatrix(Value):
                 for row in self.rows
             )
         )
-
-    def __pow__(self, exponent: int) -> "IntMatrix":
-        base = self if exponent >= 0 else self.inverse()
-        out = IntMatrix.identity(self.dim)
-        k = abs(exponent)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._wrap(tuple(tuple(-x for x in row) for row in self.rows))

@@ -21,6 +21,11 @@ a supplementary check.  What stands verified: the kernel is normally
 generated by Delta^2, alpha^2, (alpha gamma)^2 and the 17th lifted
 relator.
 
+Matrix words go through the one fold of ``symplectic``: the golden
+matrices (M1..M5 of the crossings, MDelta of the half twist), checked
+symplectic once, form one fold table.  ``BEHR_WORDS`` spells each Behr
+generator once over it, and the 14 relations are word pairs over it.
+
 Braid-word conventions here: Delta is the positive half twist of the
 6-strand group, alpha = (s4 s5)^3, beta = s3^-1 (s1 s2)^3 s3, and
 gamma = s1 s3^-1 s5.
@@ -28,14 +33,16 @@ gamma = s1 s3^-1 s5.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .action import GenusContext, braid_automorphism
 from .braids import NAMED_B6, BraidWord, braids_equal
 from .endo import Automorphism, Endomorphism
+from .errors import BraidactError
 from .matrices import IntMatrix
 from .report import Check, VerificationReport, condition_check, equality_check, merge_reports
-from .symplectic import braid_matrix, is_symplectic
+from .symplectic import braid_matrix, column_table, fold_matrix, is_symplectic
 from .words import FreeWord
 
 G2 = GenusContext(2)
@@ -51,7 +58,21 @@ DELTA = BraidWord(6, NAMED_B6["DELTA6"])
 ALPHA = BraidWord(6, NAMED_B6["ALPHA"])
 BETA = BraidWord(6, NAMED_B6["BETA"])
 GAMMA = BraidWord(6, NAMED_B6["GAMMA"])
-X_ALPHA = _b6(-5, -4, -1, 3, -5, 4, 5)
+
+# Behr's generators as (spelling, word) over the golden letters: 1-5 are
+# M1..M5 and 6 is MDelta.  The witnesses fold each word over the golden
+# matrices; the lifts read it as a braid, with letter 6 expanded to DELTA.
+HALF_TWIST_LETTER = 6
+BEHR_WORDS = {
+    "x_beta": ("M5", (5,)),
+    "x_alpha_plus_beta": ("M1 M3^-1 M5", NAMED_B6["GAMMA"]),
+    "x_two_alpha_plus_beta": ("M1", (1,)),
+    "x_alpha": ("M5^-1 M4^-1 M1^-1 M3 M5^-1 M4 M5", (-5, -4, -1, 3, -5, 4, 5)),
+    "w_alpha": ("(M4 M5)^3 MDelta", NAMED_B6["ALPHA"] + (HALF_TWIST_LETTER,)),
+    "w_beta": ("(M4 M5 M4)^-1", (-4, -5, -4)),
+}
+
+X_ALPHA = BraidWord(6, BEHR_WORDS["x_alpha"][1])
 CORE454 = _b6(4, 5, 4)
 # Conjugates gamma' in the w-jump of the 17th lifted relator.
 W_JUMP_CONJUGATOR = _b6(1, 2, 1, -3, -2, -4)
@@ -123,6 +144,25 @@ def half_twist_matrix() -> IntMatrix:
     return IntMatrix(((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))
 
 
+def golden_columns(matrices: Sequence[IntMatrix]) -> dict:
+    """Fold table of 4 x 4 golden matrices; one outside Sp_4(Z), which
+    ``symplectic_inverse`` would not invert, raises BraidactError."""
+    for i, m in enumerate(matrices, 1):
+        if not is_symplectic(m, 2):
+            raise BraidactError(f"golden matrix {i} is not symplectic:\n{m}")
+    return column_table(matrices)
+
+
+@lru_cache(maxsize=None)
+def _golden_table() -> dict:
+    return golden_columns(crossing_matrices() + (half_twist_matrix(),))
+
+
+def golden_product(letters: Sequence[int]) -> IntMatrix:
+    """A word over the golden letters, folded over the golden matrices."""
+    return fold_matrix(_golden_table(), 4, letters)
+
+
 def special_braids() -> SpecialBraids:
     return SpecialBraids(Delta=DELTA, alpha=ALPHA, beta=BETA, gamma=GAMMA)
 
@@ -130,12 +170,11 @@ def special_braids() -> SpecialBraids:
 def lift_table() -> dict[str, BraidWord]:
     """Braid lifts of Behr's generators (abelianizing a lift recovers its matrix)."""
     return {
-        "x_beta": _b6(5),
-        "x_alpha_plus_beta": GAMMA,
-        "x_two_alpha_plus_beta": _b6(1),
-        "x_alpha": X_ALPHA,
-        "w_alpha": ALPHA * DELTA,
-        "w_beta": CORE454.inverse(),
+        name: BraidWord(
+            6,
+            tuple(y for x in word for y in (DELTA.letters if x == HALF_TWIST_LETTER else (x,))),
+        )
+        for name, (_, word) in BEHR_WORDS.items()
     }
 
 
@@ -160,41 +199,12 @@ def gamma_elements() -> GammaElements:
 
 def verify_surjectivity_witnesses() -> VerificationReport:
     """Behr's six generators as words in the crossing matrices."""
-    xg = behr_generators()
-    m1, m2, m3, m4, m5 = crossing_matrices()
-    md = half_twist_matrix()
-    checks = (
-        equality_check("sp4.witness.x_beta", "x_beta = M5", xg.x_beta, m5),
+    xg = behr_generators()._asdict()
+    checks = tuple(
         equality_check(
-            "sp4.witness.x_alpha_plus_beta",
-            "x_alpha_plus_beta = M1 M3^-1 M5",
-            xg.x_alpha_plus_beta,
-            m1 * m3.inverse() * m5,
-        ),
-        equality_check(
-            "sp4.witness.x_two_alpha_plus_beta",
-            "x_two_alpha_plus_beta = M1",
-            xg.x_two_alpha_plus_beta,
-            m1,
-        ),
-        equality_check(
-            "sp4.witness.x_alpha",
-            "x_alpha = M5^-1 M4^-1 M1^-1 M3 M5^-1 M4 M5",
-            xg.x_alpha,
-            m5.inverse() * m4.inverse() * m1.inverse() * m3 * m5.inverse() * m4 * m5,
-        ),
-        equality_check(
-            "sp4.witness.w_alpha",
-            "w_alpha = (M4 M5)^3 MDelta",
-            xg.w_alpha,
-            (m4 * m5) ** 3 * md,
-        ),
-        equality_check(
-            "sp4.witness.w_beta",
-            "w_beta = (M4 M5 M4)^-1",
-            xg.w_beta,
-            (m4 * m5 * m4).inverse(),
-        ),
+            f"sp4.witness.{name}", f"{name} = {spelling}", xg[name], golden_product(word)
+        )
+        for name, (spelling, word) in BEHR_WORDS.items()
     )
     return VerificationReport("sp4-surjectivity", checks)
 
@@ -439,68 +449,51 @@ def verify_kernel_generators() -> VerificationReport:
     return VerificationReport("sp4-kernel", tuple(checks))
 
 
-def verify_presentation() -> VerificationReport:
-    """All 14 relations of the braid-type presentation of Sp_4(Z).
+def presentation_relations() -> tuple[tuple[str, str, tuple[int, ...], tuple[int, ...]], ...]:
+    """The 14 relations as (name, description, left word, right word).
 
-    Ten braid relations among the crossing matrices plus the four extra
+    Ten braid relations among the crossings plus the four extra
     relations: the squared half twist, (M4 M5)^6, the conjugated cube
     identity, and the twisted inversion of M1 M3^-1 M5.
     """
-    m = (None,) + crossing_matrices()
-    identity4 = IntMatrix.identity(4)
-    checks = []
+    relations = []
     for i in range(1, 6):
         for j in range(i + 1, 6):
             if j - i > 1:
-                checks.append(
-                    equality_check(
-                        f"sp4.presentation.commute.{i}-{j}",
-                        f"M{i} M{j} = M{j} M{i}",
-                        m[i] * m[j],
-                        m[j] * m[i],
-                    )
-                )
+                relations.append((f"commute.{i}-{j}", f"M{i} M{j} = M{j} M{i}", (i, j), (j, i)))
             else:
-                checks.append(
-                    equality_check(
-                        f"sp4.presentation.braid.{i}-{j}",
-                        f"M{i} M{j} M{i} = M{j} M{i} M{j}",
-                        m[i] * m[j] * m[i],
-                        m[j] * m[i] * m[j],
-                    )
+                relations.append(
+                    (f"braid.{i}-{j}", f"M{i} M{j} M{i} = M{j} M{i} M{j}", (i, j, i), (j, i, j))
                 )
-    mdelta_from_word = IntMatrix.identity(4)
-    for letter in DELTA.letters:
-        mdelta_from_word = mdelta_from_word * m[letter]
-    checks.extend(
-        [
-            equality_check(
-                "sp4.presentation.half-twist-squared",
-                "the 15-crossing half-twist word squares to the identity matrix",
-                mdelta_from_word * mdelta_from_word,
-                identity4,
-            ),
-            equality_check(
-                "sp4.presentation.alpha-order",
-                "(M4 M5)^6 = I",
-                (m[4] * m[5]) ** 6,
-                identity4,
-            ),
-            equality_check(
-                "sp4.presentation.cube-conjugation",
-                "(M1 M2)^3 = M3 (M4 M5)^3 M3^-1",
-                (m[1] * m[2]) ** 3,
-                m[3] * (m[4] * m[5]) ** 3 * m[3].inverse(),
-            ),
-            equality_check(
-                "sp4.presentation.gamma-inversion",
-                "(M1 M3^-1 M5)^-1 = (M4 M5)^3 (M1 M3^-1 M5) (M4 M5)^-3",
-                (m[1] * m[3].inverse() * m[5]).inverse(),
-                (m[4] * m[5]) ** 3 * (m[1] * m[3].inverse() * m[5]) * ((m[4] * m[5]) ** 3).inverse(),
-            ),
-        ]
+    alpha, gamma = ALPHA.letters, GAMMA.letters
+    relations += [
+        (
+            "half-twist-squared",
+            "the 15-crossing half-twist word squares to the identity matrix",
+            DELTA.letters * 2,
+            (),
+        ),
+        ("alpha-order", "(M4 M5)^6 = I", alpha * 2, ()),
+        ("cube-conjugation", "(M1 M2)^3 = M3 (M4 M5)^3 M3^-1", (1, 2) * 3, (3, *alpha, -3)),
+        (
+            "gamma-inversion",
+            "(M1 M3^-1 M5)^-1 = (M4 M5)^3 (M1 M3^-1 M5) (M4 M5)^-3",
+            GAMMA.inverse().letters,
+            alpha + gamma + ALPHA.inverse().letters,
+        ),
+    ]
+    return tuple(relations)
+
+
+def verify_presentation() -> VerificationReport:
+    """All 14 relations of the braid-type presentation of Sp_4(Z)."""
+    checks = tuple(
+        equality_check(
+            f"sp4.presentation.{name}", description, golden_product(left), golden_product(right)
+        )
+        for name, description, left, right in presentation_relations()
     )
-    return VerificationReport("sp4-presentation", tuple(checks))
+    return VerificationReport("sp4-presentation", checks)
 
 
 def _gamma17_chain_words() -> dict[str, BraidWord]:
@@ -587,31 +580,22 @@ def verify_gamma17_quotient() -> VerificationReport:
             ge.gamma17,
             chain["derived"],
         ),
-        equality_check(
-            "sp4.gamma17.matrix.self",
-            "the 17th lifted relator abelianizes to the identity matrix",
-            braid_matrix(G2, ge.gamma17),
-            identity4,
-            quotient_level=True,
-        ),
-        equality_check(
-            "sp4.gamma17.matrix.alpha-beta",
-            "alpha beta abelianizes to the identity matrix",
-            braid_matrix(G2, ALPHA * BETA),
-            identity4,
-            quotient_level=True,
-        ),
     ]
-    for name, braid in chain.items():
-        checks.append(
-            equality_check(
-                f"sp4.gamma17.matrix.{name}",
-                f"chain stage {name} abelianizes to the identity matrix",
-                braid_matrix(G2, braid),
-                identity4,
-                quotient_level=True,
-            )
+    dying = {
+        "self": ("the 17th lifted relator", ge.gamma17),
+        "alpha-beta": ("alpha beta", ALPHA * BETA),
+        **{name: (f"chain stage {name}", braid) for name, braid in chain.items()},
+    }
+    checks += [
+        equality_check(
+            f"sp4.gamma17.matrix.{name}",
+            f"{subject} abelianizes to the identity matrix",
+            braid_matrix(G2, braid),
+            identity4,
+            quotient_level=True,
         )
+        for name, (subject, braid) in dying.items()
+    ]
     return VerificationReport("sp4-gamma17", tuple(checks))
 
 

@@ -7,16 +7,19 @@ alternating form <a_i, b_i> = -<b_i, a_i> = 1, i.e. lands in Sp_2g(Z):
 into Sp_2g(Z)) and ``is_symplectic`` is the exact membership test
 M^T J M = J for the block form J = [[0, I], [-I, 0]].
 
-Each twist abelianizes to a transvection that moves one or two basis
-vectors, so ``braid_matrix`` folds the word column by column (see
-``braidact.fold``) rather than multiplying dense matrices; the inverse
-crossings use the symplectic inverse -J M^T J, a signed transpose.
+Every matrix word goes through one fold (``braidact.fold``): a
+``column_table`` keeps the columns each symplectic matrix, or its
+inverse -J M^T J (a signed transpose), moves, and ``fold_matrix``
+recomputes only those per letter.  ``braid_matrix`` folds over the
+twists (transvections moving one or two columns), abelianized once per
+genus; the genus-1 relation is a word pair folded over (A, B).
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import Sequence
 
 from . import _kernels
 from .action import GenusContext, twist_automorphism
@@ -91,33 +94,51 @@ def symplectic_inverse(m: IntMatrix) -> IntMatrix:
     )
 
 
-@lru_cache(maxsize=None)
-def _twist_columns(g: int) -> dict:
-    """Fold table of the twist matrices: the columns each one moves."""
-    ctx = GenusContext(g)
+def column_table(matrices: Sequence[IntMatrix]) -> dict:
+    """Fold table: letter i moves the columns ``matrices[i - 1]`` moves,
+    -i those of its ``symplectic_inverse`` (the inverse only in Sp_2g(Z))."""
     moves = {}
-    for i in range(1, 2 * g + 2):
-        m = twist_automorphism(ctx, i).abelianization_matrix()
+    for i, m in enumerate(matrices, 1):
         moves[i] = moved_columns(tuple(zip(*m.rows)))
         moves[-i] = moved_columns(tuple(zip(*symplectic_inverse(m).rows)))
     return moves
+
+
+def fold_matrix(table: dict, n: int, letters: Sequence[int]) -> IntMatrix:
+    """The n x n product of the table's matrices named by ``letters``.
+
+    The fold's columns are integer combinations of identity columns, so
+    the matrix adopts them unchecked.
+    """
+    images = fold(ColumnImages(n), table, letters)
+    return IntMatrix._wrap(tuple(zip(*images.columns)))
+
+
+@lru_cache(maxsize=None)
+def _twist_matrices(g: int) -> tuple[IntMatrix, ...]:
+    """The abelianized twists t_1..t_{2g+1}, computed once per genus."""
+    ctx = GenusContext(g)
+    return tuple(twist_automorphism(ctx, i).abelianization_matrix() for i in range(1, 2 * g + 2))
+
+
+@lru_cache(maxsize=None)
+def _twist_columns(g: int) -> dict:
+    """Fold table of the twist matrices: the columns each one moves."""
+    return column_table(_twist_matrices(g))
 
 
 def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
     """Abelianized image of a braid word: a matrix in Sp_2g(Z).
 
     Functorially equal to abelianizing the braid's automorphism, and to
-    the product of the generator matrices; each crossing recomputes only
-    the columns its transvection moves.  The fold's columns are integer
-    combinations of identity columns, so the matrix adopts them unchecked.
+    the product of the generator matrices, folded over the twist table.
     """
     if braid.strands != ctx.strands:
         raise StrandMismatchError(
             f"braid on {braid.strands} strands does not act at genus {ctx.g}"
             f" (need {ctx.strands})"
         )
-    images = fold(ColumnImages(ctx.rank), _twist_columns(ctx.g), braid.letters)
-    return IntMatrix._wrap(tuple(zip(*images.columns)))
+    return fold_matrix(_twist_columns(ctx.g), ctx.rank, braid.letters)
 
 
 def sl2_matrices() -> tuple[IntMatrix, IntMatrix]:
@@ -129,9 +150,7 @@ def verify_symplectic_generators(genus_range=(1, 2, 3, 4)) -> VerificationReport
     """Check that every twist matrix satisfies the symplectic relation."""
     checks = []
     for g in genus_range:
-        ctx = GenusContext(g)
-        for i in range(1, 2 * g + 2):
-            m = twist_automorphism(ctx, i).abelianization_matrix()
+        for i, m in enumerate(_twist_matrices(g), 1):
             checks.append(
                 condition_check(
                     f"symplectic.g{g}.twist-{i}",
@@ -196,16 +215,20 @@ def verify_symplectic_random(
     return VerificationReport(f"symplectic-random(g={ctx.g})", checks)
 
 
+SL2_BRAID_RELATION = ((1, -2, 1), (-2, 1, -2))
+
+
 def verify_sl2_braid_relation() -> VerificationReport:
-    """The genus-1 matrices satisfy A B^{-1} A = B^{-1} A B^{-1}."""
-    a, b = sl2_matrices()
-    binv = b.inverse()
+    """The genus-1 matrices satisfy A B^{-1} A = B^{-1} A B^{-1}, the word
+    pair ``SL2_BRAID_RELATION`` folded over (A, B)."""
+    table = column_table(sl2_matrices())
+    left, right = SL2_BRAID_RELATION
     checks = (
         equality_check(
             "symplectic.g1.sl2-braid-relation",
             "A B^-1 A = B^-1 A B^-1 for the genus-1 matrices",
-            a * binv * a,
-            binv * a * binv,
+            fold_matrix(table, 2, left),
+            fold_matrix(table, 2, right),
         ),
     )
     return VerificationReport("sl2-braid-relation", checks)

@@ -61,11 +61,19 @@ def test_large_entries_stay_exact():
     assert m[0, 0] > 10**45
 
 
-def test_powers():
-    a = IntMatrix(((1, 1), (0, 1)))
-    assert a ** 0 == IntMatrix.identity(2)
-    assert a ** 5 == IntMatrix(((1, 5), (0, 1)))
-    assert a ** -3 == IntMatrix(((1, -3), (0, 1)))
+def test_from_columns_needs_n_columns_of_length_n():
+    assert IntMatrix.from_columns([[1, 2], [3, 4]]) == IntMatrix(((1, 3), (2, 4)))
+    assert IntMatrix.from_columns([]).dim == 0
+    for columns in ([[1, 2, 3], [4, 5, 6]], [[1], [2]], [[1, 2], [3]], [[1, 2], [3, 4, 5]]):
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix.from_columns(columns)
+
+
+def test_identity_rejects_a_negative_size():
+    assert IntMatrix.identity(0).dim == 0
+    for n in (-1, -2):
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix.identity(n)
 
 
 def test_json_roundtrip():
@@ -193,24 +201,15 @@ UNIMODULAR = IntMatrix(((1, 0, 2), (0, 1, 0), (-1, 3, -3)))  # det -1
         lambda m: -m,
         lambda m: IntMatrix.identity(m.dim),
         lambda m: IntMatrix.identity(0),
-        lambda m: m ** 0,
-        lambda m: m ** 3,
-        lambda m: m ** -1,
-        lambda m: m ** -4,
         lambda m: m.inverse(),
         lambda m: m._minor(1, 2),
     ],
     ids=["mul", "mul-identity", "transpose", "neg", "identity", "identity-0",
-         "pow-0", "pow-3", "pow-neg-1", "pow-neg-4", "inverse", "minor"],
+         "inverse", "minor"],
 )
 def test_computed_matrices_are_exact(compute):
     assert UNIMODULAR.det() == -1
     assert_exact(compute(UNIMODULAR))
-
-
-def test_negative_powers_invert_a_unimodular_matrix():
-    for k in range(1, 6):
-        assert UNIMODULAR ** -k * UNIMODULAR ** k == IntMatrix.identity(3)
 
 
 def naive_product(x, y):

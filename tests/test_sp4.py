@@ -7,8 +7,20 @@ the corrected form of the jump is verified as a supplementary check.
 These tests pin the exact verdicts either way.
 """
 
-from braidact import BraidWord, GenusContext, IntMatrix, braid_matrix, braids_equal, is_symplectic
+import pytest
+
+from braidact import (
+    BraidactError,
+    BraidWord,
+    GenusContext,
+    IntMatrix,
+    braid_matrix,
+    braids_equal,
+    is_symplectic,
+    sl2_matrices,
+)
 from braidact import sp4
+from braidact.symplectic import SL2_BRAID_RELATION, column_table, fold_matrix
 
 
 G2 = GenusContext(2)
@@ -128,3 +140,58 @@ def test_alpha_square_action_matches_the_recorded_automorphism():
     assert by_id["sp4.kernel.alpha-square-image-b2"] == "pass"
     assert by_id["sp4.kernel.alpha-square-non-inner"] == "pass"
     assert by_id["sp4.kernel.full-twist-acts-trivially"] == "pass"
+
+
+def dense_product(matrices, word):
+    """Left-to-right product of the matrices a word names, inverting
+    negative letters through the adjugate."""
+    out = IntMatrix.identity(matrices[0].dim)
+    for x in word:
+        m = matrices[abs(x) - 1]
+        out = out * (m if x > 0 else m.inverse())
+    return out
+
+
+def test_folded_words_equal_the_dense_golden_products():
+    golden = sp4.crossing_matrices() + (sp4.half_twist_matrix(),)
+    xg = sp4.behr_generators()._asdict()
+    for name, (_, word) in sp4.BEHR_WORDS.items():
+        assert sp4.golden_product(word) == dense_product(golden, word) == xg[name], name
+    relations = sp4.presentation_relations()
+    checks = sp4.verify_presentation().checks
+    assert len(relations) == len(checks) == 14
+    for (name, _, left, right), check in zip(relations, checks):
+        assert max(map(abs, left + right)) <= 5, name
+        dense_left, dense_right = dense_product(golden, left), dense_product(golden, right)
+        assert sp4.golden_product(left) == dense_left, name
+        assert sp4.golden_product(right) == dense_right, name
+        assert check.check_id == f"sp4.presentation.{name}"
+        if check.status == "fail":
+            assert check.witness == {"left": str(dense_left), "right": str(dense_right)}
+    a, b = sl2_matrices()
+    left, right = SL2_BRAID_RELATION
+    sl2_table = column_table((a, b))
+    assert fold_matrix(sl2_table, 2, left) == dense_product((a, b), left) == a * b.inverse() * a
+    assert fold_matrix(sl2_table, 2, right) == dense_product((a, b), right) == b.inverse() * a * b.inverse()
+
+
+def test_each_witness_and_its_lift_read_the_same_word():
+    lifts = sp4.lift_table()
+    assert list(lifts) == list(sp4.BEHR_WORDS) == list(sp4.BehrGenerators._fields)
+    delta = sp4.special_braids().Delta.letters
+    for name, (_, word) in sp4.BEHR_WORDS.items():
+        expanded = []
+        for x in word:
+            expanded.extend(delta if x == 6 else (x,))
+        assert lifts[name] == BraidWord(6, expanded), name
+        assert braid_matrix(G2, lifts[name]) == sp4.golden_product(word), name
+    assert sp4.X_ALPHA.letters == sp4.BEHR_WORDS["x_alpha"][1]
+
+
+def test_golden_table_rejects_a_non_symplectic_matrix():
+    crossings = sp4.crossing_matrices()
+    assert sp4.golden_columns(crossings)
+    doubled = IntMatrix(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert not is_symplectic(doubled, 2)
+    with pytest.raises(BraidactError, match="golden matrix 3 is not symplectic"):
+        sp4.golden_columns(crossings[:2] + (doubled,))
