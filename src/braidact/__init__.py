@@ -6,11 +6,11 @@ group of rank 2g, its abelianization into the symplectic modular group,
 and verification suites that mechanically re-derive the identities
 behind the genus-2 braid-type presentation of Sp_4(Z).
 
-Hot word kernels run on a compiled extension when it was built, and on
-a pure-Python twin otherwise (see ``braidact.kernel_backend``).
+The package is pure Python.  Its hot word kernels live in one module,
+``braidact._kernels``; ``kernel_backend`` names that implementation for
+the benchmark's provenance.
 """
 
-from ._kernels import backend_name as kernel_backend
 from .action import (
     GenusContext,
     braid_automorphism,
@@ -62,6 +62,12 @@ from .symplectic import (
 from .words import FreeWord, Letter, format_word, parse_word, reduce_word
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the word-kernel implementation: always "pure"."""
+    return "pure"
+
 
 __all__ = [
     "Automorphism",

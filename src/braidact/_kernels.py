@@ -1,4 +1,4 @@
-"""Pure-Python word kernels.
+"""Word kernels: the hot loops of free-group and braid word arithmetic.
 
 A word over a free alphabet is a sequence of nonzero signed integers:
 ``+k`` is the k-th generator, ``-k`` its inverse.  "Reduced" means no
@@ -8,9 +8,9 @@ Joining two reduced words can cancel letters only at the seam between
 them, so ``concat_reduced`` and ``substitute`` compare letters there and
 copy the rest of each word in one slice or ``extend``.
 
-This module is the reference implementation; ``_core.pyx`` is a compiled
-twin with identical semantics, selected at import time by the package
-``__init__``.
+Callers look the kernels up as ``_kernels.<name>`` at call time, never
+through ``from ... import``, so a test or tracer can rebind and count
+them.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from collections.abc import Sequence
 from operator import neg
 
 from braidact.errors import ResourceLimitError
-
-BACKEND = "pure"
 
 
 def reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:

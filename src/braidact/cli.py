@@ -37,10 +37,10 @@ from .words import format_word, parse_word
 DEFAULT_SEED = 20260809
 
 # `apply`, `matrix` and `verify` build the 2g+1 twists of the genus and
-# their dense abelianized matrices, and `verify symplectic` multiplies
-# 500 dense 2g x 2g matrices, so their work grows with the cube of
-# --genus: on 2 vCPUs with the pure kernels, `verify all --genus 32
-# --max-len 3` took 8.1 s in 23 MB, `verify symplectic --genus 64` 54 s,
+# their dense abelianized matrices, and `verify symplectic` checks those
+# twists and multiplies 500 dense 2g x 2g matrices, so their work grows
+# with the cube of --genus: on 2 vCPUs, `verify all --genus 32
+# --max-len 3` took 12.7 to 14.1 s (median 12.8 s of 5 runs) in 25 MB,
 # and `verify monoid --genus 2000 --max-len 0` did not finish in two
 # minutes.  (`verify sp4` ignores --genus.)
 MAX_GENUS = 32
@@ -113,7 +113,7 @@ def _run_suite(name: str, ctx: GenusContext, max_len: int, seed: int) -> Verific
         return merge_reports(
             "symplectic",
             (
-                verify_symplectic_generators(),
+                verify_symplectic_generators(sorted({1, 2, 3, 4, ctx.g})),
                 verify_sl2_braid_relation(),
                 verify_symplectic_random(ctx, seed=seed),
             ),

@@ -45,17 +45,21 @@ from .symplectic import sl2_matrices
 from .words import token_index
 
 
-def omega_alphabet(g: int) -> tuple[int, ...]:
-    """The g+2 allowed letters: t_1, t_{2g+1}, and the inverse even twists."""
+def _check_genus(g: int) -> None:
     if g < 1:
         raise MalformedWordError(f"genus must be >= 1, got {g}")
+
+
+def omega_alphabet(g: int) -> tuple[int, ...]:
+    """The g+2 allowed letters: t_1, t_{2g+1}, and the inverse even twists."""
+    _check_genus(g)
     return (1, 2 * g + 1) + tuple(-2 * i for i in range(1, g + 1))
 
 
-@lru_cache(maxsize=None)
-def _alphabet_set(g: int) -> frozenset[int]:
-    """``omega_alphabet(g)`` as a set, built once per genus."""
-    return frozenset(omega_alphabet(g))
+def _is_omega_letter(x: int, g: int) -> bool:
+    """Whether ``x`` is in ``omega_alphabet(g)`` for a genus g >= 1,
+    decided without building it, so a huge genus costs no memory."""
+    return x == 1 or x == 2 * g + 1 or (x < 0 and x % 2 == 0 and -x <= 2 * g)
 
 
 class OmegaWord(Value):
@@ -64,13 +68,13 @@ class OmegaWord(Value):
     __slots__ = ("g", "letters")
 
     def __init__(self, g: int, letters: Iterable[int] = ()):
-        allowed = _alphabet_set(g)
+        _check_genus(g)
         raw = tuple(map(int, letters))
-        if not allowed.issuperset(raw):
-            bad = next(x for x in raw if x not in allowed)
-            raise MalformedWordError(
-                f"letter {bad} is not in the positivity alphabet at genus {g}"
-            )
+        for x in raw:
+            if not _is_omega_letter(x, g):
+                raise MalformedWordError(
+                    f"letter {x} is not in the positivity alphabet at genus {g}"
+                )
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "letters", raw)
 
@@ -125,7 +129,8 @@ def parse_omega(text: str, g: int) -> OmegaWord:
         if not index:
             raise WordSyntaxError.at_token(f"bad token {token!r}", text, i)
         code = index if name == "u" else -index
-        if code not in _alphabet_set(g):
+        _check_genus(g)
+        if not _is_omega_letter(code, g):
             raise WordSyntaxError.at_token(
                 f"{token!r} is not a positivity-alphabet letter at genus {g}", text, i
             )

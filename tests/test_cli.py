@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidact import action, braids, cli, monoid, symplectic
-from braidact.cli import MAX_BALL_WORDS, MAX_GENUS, _ball_words, main
+from braidact.cli import MAX_BALL_WORDS, MAX_EQUAL_STRANDS, MAX_GENUS, SUITES, _ball_words, main
 
 
 def run(capsys, *argv):
@@ -108,6 +112,16 @@ def test_parse_subcommand(capsys):
     assert code == 0 and out.strip() == "u1 U2"
 
 
+def test_parse_omega_at_a_huge_genus(capsys):
+    code, out, err = run(capsys, "parse", "omega", "u1", "--genus", "1000000000")
+    assert code == 0 and out == "u1\n" and err == ""
+    code, out, err = run(capsys, "parse", "omega", "u3", "--genus", "1000000000")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: 'u3' is not a positivity-alphabet letter at genus 1000000000 (at position 0)\n"
+    )
+
+
 @pytest.mark.parametrize("text,genus", [("", "0"), ("a1", "-1")])
 def test_parse_word_nonpositive_genus_exits_2(capsys, text, genus):
     code, out, err = run(capsys, "parse", "word", text, "--genus", genus)
@@ -177,6 +191,17 @@ def test_verify_symplectic_prints_seed(capsys):
     code, out, _ = run(capsys, "verify", "symplectic", "--seed", "11")
     assert code == 0
     assert "seed: 11" in out
+
+
+def test_verify_symplectic_checks_the_twists_of_the_asked_genus(capsys):
+    code, out, _ = run(capsys, "verify", "symplectic", "--genus", "6", "--json")
+    assert code == 0
+    status = {c["check_id"]: c["status"] for c in json.loads(out)}
+    for g in (1, 2, 3, 4, 6):
+        twists = {i for i in status if i.startswith(f"symplectic.g{g}.twist-")}
+        assert twists == {f"symplectic.g{g}.twist-{i}" for i in range(1, 2 * g + 2)}
+        assert all(status[i] == "pass" for i in twists)
+    assert not any(i.startswith("symplectic.g5.") for i in status)
 
 
 def test_verify_output_is_sorted_by_check_id(capsys):
@@ -256,3 +281,80 @@ def test_verify_all_nonpositive_genus_exits_2_before_printing(capsys):
     code, out, err = run(capsys, "verify", "all", "--genus", "0")
     assert code == 2 and out == ""
     assert "genus must be >= 1" in err
+
+
+# -- property: every well-formed command line ends in a stated exit ---------
+
+BRAIDS = ("1 -2", "DELTA6", "GAMMA", "", "1 x", "0", "99")
+WORDS = ("a1 B2", "", "q9", "a99")
+OMEGAS = ("u1 U2", "u3", "", "x1", "U2000000000")
+GENERA = (-1, 0, 1, 2, MAX_GENUS, MAX_GENUS + 1, 10**9)
+STRANDS = (-1, 1, 2, 6, MAX_EQUAL_STRANDS, MAX_EQUAL_STRANDS + 1, 10**9)
+JSON = st.sampled_from(([], ["--json"]))
+
+
+def argv(*parts):
+    """One argument list: the pieces drawn in order, joined."""
+    return st.tuples(*parts).map(lambda ps: [arg for p in ps for arg in p])
+
+
+def const(*args):
+    return st.just(list(args))
+
+
+def positional(values):
+    return st.sampled_from(values).map(lambda v: [v])
+
+
+def option(flag, values):
+    """``flag value`` for a drawn value, or nothing for None."""
+    return st.sampled_from(values).map(lambda v: [] if v is None else [flag, str(v)])
+
+
+command_lines = st.one_of(
+    argv(const("apply"), positional(BRAIDS), positional(WORDS),
+         option("--genus", (None, *GENERA)), option("--max-len", (None, -1, 0, 1, 3)), JSON),
+    argv(const("matrix"), positional(BRAIDS), option("--genus", (None, *GENERA)), JSON),
+    argv(const("equal"), positional(BRAIDS), positional(BRAIDS),
+         option("--strands", (None, *STRANDS)), JSON),
+    argv(
+        const("parse"),
+        st.sampled_from(
+            [("word", t) for t in WORDS]
+            + [("braid", t) for t in BRAIDS]
+            + [("omega", t) for t in OMEGAS]
+        ).map(list),
+        option("--genus", (None, *GENERA, 10**18)),
+        option("--strands", (None, *STRANDS)),
+        JSON,
+    ),
+    # Suites that run: small genus and balls.
+    argv(const("verify"), positional(("relations", "center", "monoid")),
+         option("--genus", (1, 2, 3)), option("--max-len", (0, 1, 2)), JSON),
+    # Every suite at values that must exit before any work: sp4 alone
+    # ignores --genus and runs.
+    argv(const("verify"), positional(SUITES), option("--genus", (-1, 0, MAX_GENUS + 1, 10**9)),
+         option("--max-len", (None, -1)), JSON),
+    argv(const("verify"), positional(("monoid", "all")), const("--genus", "2", "--max-len", "1000000")),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(command_lines)
+@example(["equal", "1 2 1", "2 1 2", "--strands", str(MAX_EQUAL_STRANDS)])
+@example(["equal", "1", "1", "--strands", str(MAX_EQUAL_STRANDS + 1)])
+@example(["apply", "1 2 -3", "a1 B2", "--genus", str(MAX_GENUS)])
+@example(["matrix", "DELTA6", "--genus", str(MAX_GENUS + 1)])
+@example(["parse", "omega", "u1", "--genus", str(10**18)])
+@example(["parse", "braid", "DELTA6", "--strands", "6"])
+@example(["verify", "sp4", "--genus", str(10**9)])
+def test_every_command_line_exits_with_a_stated_code(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    lines = err.getvalue().splitlines()
+    if code in (0, 1):
+        assert lines == []
+    else:
+        assert code in (2, 3)
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,33 +1,15 @@
-"""The word kernels against naive definitions.
-
-Each implementation is checked on its own: the pure twin always, the
-compiled extension when it was built.  The kernels bound in
-``braidact._kernels`` must be those of the implementation it names.
-"""
+"""The word kernels of ``braidact._kernels`` against naive definitions."""
 
 import random
 
 import pytest
 
-from braidact import _kernels
-from braidact._kernels import _pure
+from braidact import _kernels, kernel_backend
 from braidact.errors import ResourceLimitError
-
-try:
-    from braidact._kernels import _core
-except ImportError:
-    _core = None
 
 SEED = 0xFA57
 
-implementations = [
-    pytest.param(_pure, id="pure"),
-    pytest.param(
-        _core,
-        id="compiled",
-        marks=pytest.mark.skipif(_core is None, reason="compiled kernels not built"),
-    ),
-]
+implementations = [pytest.param(_kernels, id=kernel_backend())]
 
 
 def random_raw(rng, rank, n):
@@ -135,9 +117,3 @@ def test_substitute_enforces_the_cap(impl):
     assert assert_substitute_exact(impl, pos, neg, (1, -1, 2)) == pos[1]
     assert assert_substitute_exact(impl, pos, neg, (2, -2, 1, -1)) == ()
 
-
-def test_backend_selection_reports_a_name():
-    bound = {"pure": _pure, "compiled": _core}[_kernels.backend_name()]
-    assert bound is (_pure if _core is None else _core)
-    for name in ("reduce_letters", "concat_reduced", "invert_reduced", "substitute"):
-        assert getattr(_kernels, name) is getattr(bound, name)

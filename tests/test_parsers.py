@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from braidact import _kernels
 from braidact.braids import NAMED_B6, BraidWord, parse_braid
 from braidact.errors import MalformedWordError, WordSyntaxError
-from braidact.monoid import OmegaWord, _alphabet_set, parse_omega
+from braidact.monoid import OmegaWord, omega_alphabet, parse_omega
 from braidact.words import FreeWord, Letter, parse_word
 
 # -- references -----------------------------------------------------------
@@ -42,7 +42,7 @@ def ref_free_word(rank, letters=()):
 
 
 def ref_omega_word(g, letters=()):
-    allowed = _alphabet_set(g)
+    allowed = omega_alphabet(g)
     raw = tuple(int(x) for x in letters)
     for x in raw:
         if x not in allowed:
@@ -111,7 +111,7 @@ def ref_parse_omega(text, g):
             raise WordSyntaxError(f"bad token {token!r}", match.start())
         index = int(m.group(2))
         code = index if m.group(1) == "u" else -index
-        if code not in _alphabet_set(g):
+        if code not in omega_alphabet(g):
             raise WordSyntaxError(
                 f"{token!r} is not a positivity-alphabet letter at genus {g}",
                 match.start(),
