@@ -11,9 +11,11 @@ them):
     t_{2i+1}:  b_i -> b_i a_i a_{i+1}^{-1},
                b_{i+1} -> a_{i+1} a_i^{-1} b_{i+1}       (1 <= i <= g-1)
 
-with all unnamed generators fixed.  These satisfy the braid relations,
-so the assignment extends to a homomorphism from the braid group into
-Aut(F_2g); ``braid_automorphism`` evaluates it on braid words.  The
+with all unnamed generators fixed.  These satisfy the braid relations
+(``verify_u_braid_relations`` folds both sides of every row of
+``braids.artin_relations`` over ``twist_table``), so the assignment
+extends to a homomorphism from the braid group into Aut(F_2g);
+``braid_automorphism`` evaluates it on braid words.  The
 kernel contains the center of the braid group, which the verification
 suite confirms mechanically via closed forms for the image of the
 descending cycle s_1 s_2 ... s_{2g+1} and of its square.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._value import Value
-from .braids import BraidWord
+from .braids import BraidWord, artin_relations
 from .endo import Automorphism, Endomorphism, GeneratorTable
 from .errors import MalformedWordError, StrandMismatchError
 from .report import VerificationReport, equality_check
@@ -164,34 +166,31 @@ def sturmian_g1() -> dict[str, Automorphism]:
     }
 
 
+# The relations suite's wording of each kind of row of ``artin_relations``.
+_RELATION_TEXT = {
+    "commute": "twists {} and {} commute (genus {})",
+    "braid": "twists {},{} satisfy the braid relation (genus {})",
+}
+
+
 def verify_u_braid_relations(ctx: GenusContext) -> VerificationReport:
     """Check every braid relation among the twist automorphisms.
 
-    Commutation for |i-j| > 1 and the length-3 braid relation for
-    |i-j| = 1, decided by exact equality of generator images.
+    Both sides of each row of ``artin_relations`` fold over the twist
+    table, and their generator images must agree exactly.
     """
     g = ctx.g
-    checks = []
-    for i in range(1, 2 * g + 2):
-        for j in range(i + 1, 2 * g + 2):
-            ti = twist_automorphism(ctx, i)
-            tj = twist_automorphism(ctx, j)
-            if j - i > 1:
-                check = equality_check(
-                    f"relations.g{g}.commute.{i}-{j}",
-                    f"twists {i} and {j} commute (genus {g})",
-                    ti * tj,
-                    tj * ti,
-                )
-            else:
-                check = equality_check(
-                    f"relations.g{g}.braid.{i}-{j}",
-                    f"twists {i},{j} satisfy the braid relation (genus {g})",
-                    ti * tj * ti,
-                    tj * ti * tj,
-                )
-            checks.append(check)
-    return VerificationReport(f"relations(g={g})", tuple(checks))
+    table = twist_table(g)
+    checks = tuple(
+        equality_check(
+            f"relations.g{g}.{name}",
+            _RELATION_TEXT[name.split(".")[0]].format(*left[:2], g),
+            table.automorphism(left),
+            table.automorphism(right),
+        )
+        for name, _, left, right in artin_relations(ctx.strands)
+    )
+    return VerificationReport(f"relations(g={g})", checks)
 
 
 def _cycle_image_closed_form(ctx: GenusContext) -> Endomorphism:

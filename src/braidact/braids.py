@@ -144,6 +144,26 @@ def braids_equal(b1: BraidWord, b2: BraidWord) -> bool:
     return artin_action(b1) == artin_action(b2)
 
 
+def artin_relations(
+    strands: int, symbol: str = "s"
+) -> tuple[tuple[str, str, tuple[int, ...], tuple[int, ...]], ...]:
+    """The defining relations of B_strands as (name, description, left, right).
+
+    For crossings i < j: ``commute.i-j`` (i j = j i) when |i - j| > 1 and
+    ``braid.i-j`` (i j i = j i j) when they are adjacent.  The
+    description spells both sides with ``symbol`` before each index.
+    """
+    spell = lambda letters: " ".join(f"{symbol}{x}" for x in letters)
+    rows = []
+    for i in range(1, strands):
+        for j in range(i + 1, strands):
+            kind, left, right = (
+                ("braid", (i, j, i), (j, i, j)) if j == i + 1 else ("commute", (i, j), (j, i))
+            )
+            rows.append((f"{kind}.{i}-{j}", f"{spell(left)} = {spell(right)}", left, right))
+    return tuple(rows)
+
+
 def half_twist(strands: int) -> BraidWord:
     """The positive half twist: (s_1..s_{n-1})(s_1..s_{n-2})...(s_1)."""
     letters = []

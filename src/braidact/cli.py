@@ -19,22 +19,22 @@ import gc
 import json
 import sys
 from functools import lru_cache
+from typing import NoReturn
 
 from . import monoid, sp4
 from .action import GenusContext, twist_table, verify_center_vanishes, verify_u_braid_relations
 from .braids import braids_equal, format_braid, parse_braid
 from .endo import DEFAULT_LENGTH_CAP
 from .errors import BraidactError, ResourceLimitError, UsageError, WorkBudgetError
-from .report import QUOTIENT_PASS, VerificationReport, merge_reports
+from .report import PASS, QUOTIENT_PASS, VerificationReport, merge_reports
 from .symplectic import (
+    DEFAULT_SEED,
     braid_matrix,
     verify_sl2_braid_relation,
     verify_symplectic_generators,
     verify_symplectic_random,
 )
 from .words import format_word, parse_word
-
-DEFAULT_SEED = 20260809
 
 # `apply`, `matrix` and `verify` build the 2g+1 twists of the genus and
 # their dense abelianized matrices, and `verify symplectic` checks those
@@ -66,9 +66,7 @@ def _print_report(report: VerificationReport, as_json: bool) -> int:
         print(report.to_json())
     else:
         for check in report.sorted_checks():
-            tag = "PASS " if check.status == "pass" else (
-                "QPASS" if check.status == QUOTIENT_PASS else "FAIL "
-            )
+            tag = {PASS: "PASS ", QUOTIENT_PASS: "QPASS"}.get(check.status, "FAIL ")
             print(f"{tag}  {check.check_id}  {check.description}")
             if check.witness:
                 print(f"       left:  {check.witness.get('left', '')}")
@@ -143,9 +141,17 @@ def _run_suite(name: str, ctx: GenusContext, max_len: int, seed: int) -> Verific
     raise BraidactError(f"unknown suite {name!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``error:`` line on stderr
+    and exits 2, like every other usage error; its subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidact",
         description="Braid actions on free groups and their symplectic shadows.",
     )

@@ -21,10 +21,17 @@ a supplementary check.  What stands verified: the kernel is normally
 generated by Delta^2, alpha^2, (alpha gamma)^2 and the 17th lifted
 relator.
 
-Matrix words go through the one fold of ``symplectic``: the golden
-matrices (M1..M5 of the crossings, MDelta of the half twist), checked
-symplectic once, form one fold table.  ``BEHR_WORDS`` spells each Behr
-generator once over it, and the 14 relations are word pairs over it.
+Every identity is a row of a table, and each oracle has one evaluator.
+``gamma_identities`` (21 rows) and ``gamma17_identities`` (3 rows) hold
+the exact braid identities as (name, description, left, right), decided
+by ``braids_equal``.  The braids that must die in Sp_4(Z) are (name,
+description, braid) rows of the kernel and gamma17 suites, decided by
+their abelianized image being the identity matrix.  Matrix words go
+through the one fold of ``symplectic``: the golden matrices (M1..M5 of
+the crossings, MDelta of the half twist), checked symplectic once, form
+one fold table.  ``BEHR_WORDS`` spells each Behr generator once over
+it, and ``presentation_relations`` holds the 14 relations as word pairs
+over it: the ten of ``braids.artin_relations(6)`` and four extra ones.
 
 Braid-word conventions here: Delta is the positive half twist of the
 6-strand group, alpha = (s4 s5)^3, beta = s3^-1 (s1 s2)^3 s3, and
@@ -37,11 +44,11 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .action import GenusContext, braid_automorphism
-from .braids import NAMED_B6, BraidWord, braids_equal
+from .braids import NAMED_B6, BraidWord, artin_relations, braids_equal
 from .endo import Automorphism, Endomorphism
 from .errors import BraidactError
 from .matrices import IntMatrix
-from .report import Check, VerificationReport, condition_check, equality_check, merge_reports
+from .report import FAIL, PASS, Check, VerificationReport, condition_check, equality_check, merge_reports
 from .symplectic import braid_matrix, column_table, fold_matrix, is_symplectic
 from .words import FreeWord
 
@@ -233,122 +240,84 @@ def verify_lift_consistency() -> VerificationReport:
     return VerificationReport("sp4-lifts", tuple(checks))
 
 
-def _bequal(check_id: str, description: str, left: BraidWord, right: BraidWord) -> Check:
-    if braids_equal(left, right):
-        return Check(check_id, description, "pass")
-    return Check(
-        check_id,
-        description,
-        "fail",
-        witness={"left": str(left), "right": str(right)},
+def _identity_checks(rows: Sequence[tuple[str, str, BraidWord, BraidWord]]) -> list[Check]:
+    """Each (name, description, left, right) row, decided exactly by ``braids_equal``."""
+    return [
+        Check(name, description, PASS)
+        if braids_equal(left, right)
+        else Check(name, description, FAIL, witness={"left": str(left), "right": str(right)})
+        for name, description, left, right in rows
+    ]
+
+
+def _death_checks(
+    rows: Sequence[tuple[str, str, BraidWord]], quotient_level: bool = False
+) -> list[Check]:
+    """Each (name, description, braid) row: the braid abelianizes to the identity."""
+    identity4 = IntMatrix.identity(4)
+    return [
+        equality_check(name, description, braid_matrix(G2, braid), identity4, quotient_level)
+        for name, description, braid in rows
+    ]
+
+
+def gamma_identities() -> tuple[tuple[str, str, BraidWord, BraidWord], ...]:
+    """The exact braid-word identities used to reduce the lifted relators,
+    as (name, description, left, right)."""
+    ge = gamma_elements()
+    # The chain rewriting gamma' into alpha beta: the two block identities
+    # and the resulting closed form.
+    middle_left = _b6(1, 2, 5, 4, 5) * ALPHA * _b6(5) * _b6(1, -3) * _b6(3, 4, 5, 2, 1, 2)
+    middle_right = _b6(1, 2) * (_b6(5, 4, 5) * ALPHA * _b6(5, 4, 5)) * _b6(1, 2) ** 2
+    return (
+        ("sp4.gamma.1-conjugate-2", "gamma1 = s3 gamma2 s3^-1",
+         ge.gamma1, ge.gamma2.conjugated_by(_b6(3))),
+        ("sp4.gamma.7-pre-commute",
+         "gamma7: (s4 s5)^3 Delta (s4s5s4)^2 commutes into (s4s5s4)^2 Delta (s4 s5)^3",
+         ge.gamma7, ALPHA * DELTA * CORE454 ** -2 * CORE454 ** 2 * DELTA * ALPHA),
+        ("sp4.gamma.7-central-form", "gamma7 = (s4 s5)^6 Delta^2",
+         ge.gamma7, ALPHA ** 2 * DELTA ** 2),
+        ("sp4.gamma.10-power-identity", "(s4 s5 s4)^4 = (s4 s5)^6", ge.gamma10, ALPHA ** 2),
+        ("sp4.gamma.13-delta-free-form", "gamma13 = (s4 s5)^3 gamma (s4 s5)^-3 gamma",
+         ge.gamma13, ALPHA * GAMMA * ALPHA.inverse() * GAMMA),
+        ("sp4.gamma.13-inverse-of-2", "gamma13 = gamma2^-1", ge.gamma13, ge.gamma2.inverse()),
+        ("sp4.gamma.14-equals-2", "gamma14 = gamma2", ge.gamma14, ge.gamma2),
+        ("sp4.gamma.w-jump",
+         "alpha^-1 s2^-1 s1^-1 Delta = s3 s4 s5 s2 s1 s2 s3 (s1 s2 s1 s3^-1 s2^-1 s4^-1)^-1",
+         ALPHA.inverse() * _b6(-2, -1) * DELTA,
+         _b6(3, 4, 5, 2, 1, 2, 3) * W_JUMP_CONJUGATOR.inverse()),
+        *(
+            (f"sp4.gamma.half-twist-flip-{i}", f"Delta s{i} = s{6 - i} Delta",
+             DELTA * _b6(i), _b6(6 - i) * DELTA)
+            for i in range(1, 6)
+        ),
+        *(
+            (f"sp4.gamma.full-twist-central-{i}", f"Delta^2 commutes with s{i}",
+             DELTA ** 2 * _b6(i), _b6(i) * DELTA ** 2)
+            for i in range(1, 6)
+        ),
+        ("sp4.gamma.prime-block",
+         "s1 s2 s5 s4 s5 alpha s5 s1 s3^-1 s3 s4 s5 s2 s1 s2 = (s1 s2)(s5 s4 s5 alpha s5 s4 s5)(s1 s2)^2",
+         middle_left, middle_right),
+        ("sp4.gamma.prime-alpha-square", "s5 s4 s5 alpha s5 s4 s5 = alpha^2",
+         _b6(5, 4, 5) * ALPHA * _b6(5, 4, 5), ALPHA ** 2),
+        ("sp4.gamma.prime-closed-form", "gamma' = alpha s3^-1 (s1 s2) alpha^2 (s1 s2)^2 s3",
+         GAMMA_PRIME, GAMMA_PRIME_CLOSED),
     )
 
 
 def verify_gamma_identities() -> VerificationReport:
-    """The braid-word identities used to reduce the lifted relators.
-
-    All are decided exactly by the Artin-action word problem.
-    """
-    ge = gamma_elements()
-    checks = [
-        _bequal(
-            "sp4.gamma.1-conjugate-2",
-            "gamma1 = s3 gamma2 s3^-1",
-            ge.gamma1,
-            ge.gamma2.conjugated_by(_b6(3)),
-        ),
-        _bequal(
-            "sp4.gamma.7-pre-commute",
-            "gamma7: (s4 s5)^3 Delta (s4s5s4)^2 commutes into (s4s5s4)^2 Delta (s4 s5)^3",
-            ge.gamma7,
-            ALPHA * DELTA * CORE454 ** -2 * CORE454 ** 2 * DELTA * ALPHA,
-        ),
-        _bequal(
-            "sp4.gamma.7-central-form",
-            "gamma7 = (s4 s5)^6 Delta^2",
-            ge.gamma7,
-            ALPHA ** 2 * DELTA ** 2,
-        ),
-        _bequal(
-            "sp4.gamma.10-power-identity",
-            "(s4 s5 s4)^4 = (s4 s5)^6",
-            ge.gamma10,
-            ALPHA ** 2,
-        ),
-        _bequal(
-            "sp4.gamma.13-delta-free-form",
-            "gamma13 = (s4 s5)^3 gamma (s4 s5)^-3 gamma",
-            ge.gamma13,
-            ALPHA * GAMMA * ALPHA.inverse() * GAMMA,
-        ),
-        _bequal(
-            "sp4.gamma.13-inverse-of-2",
-            "gamma13 = gamma2^-1",
-            ge.gamma13,
-            ge.gamma2.inverse(),
-        ),
-        _bequal(
-            "sp4.gamma.14-equals-2",
-            "gamma14 = gamma2",
-            ge.gamma14,
-            ge.gamma2,
-        ),
-        _bequal(
-            "sp4.gamma.w-jump",
-            "alpha^-1 s2^-1 s1^-1 Delta = s3 s4 s5 s2 s1 s2 s3 (s1 s2 s1 s3^-1 s2^-1 s4^-1)^-1",
-            ALPHA.inverse() * _b6(-2, -1) * DELTA,
-            _b6(3, 4, 5, 2, 1, 2, 3) * W_JUMP_CONJUGATOR.inverse(),
-        ),
-    ]
-    for i in range(1, 6):
-        checks.append(
-            _bequal(
-                f"sp4.gamma.half-twist-flip-{i}",
-                f"Delta s{i} = s{6 - i} Delta",
-                DELTA * _b6(i),
-                _b6(6 - i) * DELTA,
-            )
+    """The rows of ``gamma_identities``, all decided exactly by the
+    Artin-action word problem, and the scope note on the other lifts."""
+    checks = _identity_checks(gamma_identities())
+    checks.append(
+        condition_check(
+            "sp4.gamma.trivial-lifts-scope-note",
+            "the other eleven lifted relators reduce to the trivial braid;"
+            " their source words are not recorded here, so they are out of"
+            " scope for re-derivation",
+            True,
         )
-        checks.append(
-            _bequal(
-                f"sp4.gamma.full-twist-central-{i}",
-                f"Delta^2 commutes with s{i}",
-                DELTA ** 2 * _b6(i),
-                _b6(i) * DELTA ** 2,
-            )
-        )
-    # The chain rewriting gamma' into alpha beta: the two block identities
-    # and the resulting closed form, all exact.
-    middle_left = _b6(1, 2, 5, 4, 5) * ALPHA * _b6(5) * _b6(1, -3) * _b6(3, 4, 5, 2, 1, 2)
-    middle_right = _b6(1, 2) * (_b6(5, 4, 5) * ALPHA * _b6(5, 4, 5)) * _b6(1, 2) ** 2
-    checks.extend(
-        [
-            _bequal(
-                "sp4.gamma.prime-block",
-                "s1 s2 s5 s4 s5 alpha s5 s1 s3^-1 s3 s4 s5 s2 s1 s2 = (s1 s2)(s5 s4 s5 alpha s5 s4 s5)(s1 s2)^2",
-                middle_left,
-                middle_right,
-            ),
-            _bequal(
-                "sp4.gamma.prime-alpha-square",
-                "s5 s4 s5 alpha s5 s4 s5 = alpha^2",
-                _b6(5, 4, 5) * ALPHA * _b6(5, 4, 5),
-                ALPHA ** 2,
-            ),
-            _bequal(
-                "sp4.gamma.prime-closed-form",
-                "gamma' = alpha s3^-1 (s1 s2) alpha^2 (s1 s2)^2 s3",
-                GAMMA_PRIME,
-                GAMMA_PRIME_CLOSED,
-            ),
-            condition_check(
-                "sp4.gamma.trivial-lifts-scope-note",
-                "the other eleven lifted relators reduce to the trivial braid;"
-                " their source words are not recorded here, so they are out of"
-                " scope for re-derivation",
-                True,
-            ),
-        ]
     )
     return VerificationReport("sp4-gamma-identities", tuple(checks))
 
@@ -380,22 +349,18 @@ def verify_kernel_generators() -> VerificationReport:
     not inner: a conjugating element would have to centralize both a1
     and b1, and only the trivial element does.
     """
-    identity4 = IntMatrix.identity(4)
     kernel_words = {
         "full-twist": DELTA ** 2,
         "alpha-square": ALPHA ** 2,
         "alpha-beta": ALPHA * BETA,
         "alpha-gamma-square": (ALPHA * GAMMA) ** 2,
     }
-    checks = [
-        equality_check(
-            f"sp4.kernel.matrix.{name}",
-            f"abelianized image of {name} is the identity matrix",
-            braid_matrix(G2, braid),
-            identity4,
-        )
-        for name, braid in kernel_words.items()
-    ]
+    checks = _death_checks(
+        [
+            (f"sp4.kernel.matrix.{name}", f"abelianized image of {name} is the identity matrix", braid)
+            for name, braid in kernel_words.items()
+        ]
+    )
     full_twist_action = braid_automorphism(G2, kernel_words["full-twist"])
     checks.append(
         equality_check(
@@ -456,17 +421,8 @@ def presentation_relations() -> tuple[tuple[str, str, tuple[int, ...], tuple[int
     relations: the squared half twist, (M4 M5)^6, the conjugated cube
     identity, and the twisted inversion of M1 M3^-1 M5.
     """
-    relations = []
-    for i in range(1, 6):
-        for j in range(i + 1, 6):
-            if j - i > 1:
-                relations.append((f"commute.{i}-{j}", f"M{i} M{j} = M{j} M{i}", (i, j), (j, i)))
-            else:
-                relations.append(
-                    (f"braid.{i}-{j}", f"M{i} M{j} M{i} = M{j} M{i} M{j}", (i, j, i), (j, i, j))
-                )
     alpha, gamma = ALPHA.letters, GAMMA.letters
-    relations += [
+    return artin_relations(6, "M") + (
         (
             "half-twist-squared",
             "the 15-crossing half-twist word squares to the identity matrix",
@@ -481,8 +437,7 @@ def presentation_relations() -> tuple[tuple[str, str, tuple[int, ...], tuple[int
             GAMMA.inverse().letters,
             alpha + gamma + ALPHA.inverse().letters,
         ),
-    ]
-    return tuple(relations)
+    )
 
 
 def verify_presentation() -> VerificationReport:
@@ -548,54 +503,42 @@ def _gamma17_chain_words() -> dict[str, BraidWord]:
     }
 
 
+def gamma17_identities() -> tuple[tuple[str, str, BraidWord, BraidWord], ...]:
+    """The exact rewritings of the 17th lifted relator, as (name,
+    description, left, right)."""
+    gamma17 = gamma_elements().gamma17
+    chain = _gamma17_chain_words()
+    return (
+        ("sp4.gamma17.jump", "pre-jump and post-jump forms of the 17th lifted relator agree",
+         gamma17, chain["post-jump"]),
+        ("sp4.gamma17.jump-corrected",
+         "supplementary: the jump with the un-reversed conjugated block"
+         " (half-twist conjugation flips indices without reversing the word)",
+         gamma17, chain["post-jump-corrected"]),
+        ("sp4.gamma17.derived-form", "the regrouped form of the 17th lifted relator agrees exactly",
+         gamma17, chain["derived"]),
+    )
+
+
 def verify_gamma17_quotient() -> VerificationReport:
     """Check the recorded reduction of the 17th lifted relator to alpha beta.
 
-    The jump and derived forms are recorded as exact braid equalities;
-    every other recorded stage of the chain, plus alpha beta itself, is
+    The rows of ``gamma17_identities`` are exact braid equalities; every
+    other recorded stage of the chain, plus alpha beta itself, is
     checked to die in Sp_4(Z), the necessary condition a quotient can
     see.  As recorded the chain fails (reversed conjugate, see the
     module docstring); the corrected jump is verified alongside.
     """
-    ge = gamma_elements()
-    chain = _gamma17_chain_words()
-    identity4 = IntMatrix.identity(4)
-    checks = [
-        _bequal(
-            "sp4.gamma17.jump",
-            "pre-jump and post-jump forms of the 17th lifted relator agree",
-            ge.gamma17,
-            chain["post-jump"],
-        ),
-        _bequal(
-            "sp4.gamma17.jump-corrected",
-            "supplementary: the jump with the un-reversed conjugated block"
-            " (half-twist conjugation flips indices without reversing the word)",
-            ge.gamma17,
-            chain["post-jump-corrected"],
-        ),
-        _bequal(
-            "sp4.gamma17.derived-form",
-            "the regrouped form of the 17th lifted relator agrees exactly",
-            ge.gamma17,
-            chain["derived"],
-        ),
-    ]
     dying = {
-        "self": ("the 17th lifted relator", ge.gamma17),
+        "self": ("the 17th lifted relator", gamma_elements().gamma17),
         "alpha-beta": ("alpha beta", ALPHA * BETA),
-        **{name: (f"chain stage {name}", braid) for name, braid in chain.items()},
+        **{name: (f"chain stage {name}", braid) for name, braid in _gamma17_chain_words().items()},
     }
-    checks += [
-        equality_check(
-            f"sp4.gamma17.matrix.{name}",
-            f"{subject} abelianizes to the identity matrix",
-            braid_matrix(G2, braid),
-            identity4,
-            quotient_level=True,
-        )
+    deaths = [
+        (f"sp4.gamma17.matrix.{name}", f"{subject} abelianizes to the identity matrix", braid)
         for name, (subject, braid) in dying.items()
     ]
+    checks = _identity_checks(gamma17_identities()) + _death_checks(deaths, quotient_level=True)
     return VerificationReport("sp4-gamma17", tuple(checks))
 
 

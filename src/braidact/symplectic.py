@@ -175,6 +175,10 @@ def random_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
     return BraidWord._wrap(strands, _kernels.reduce_letters(tuple(letters)))
 
 
+# The seed of the random suite, and of `verify --seed` unless given.
+DEFAULT_SEED = 20260809
+
+
 def _random_witness(count: int, bad: BraidWord | None) -> str:
     # A check over no braids proves nothing, so it fails too.
     if count <= 0:
@@ -183,7 +187,7 @@ def _random_witness(count: int, bad: BraidWord | None) -> str:
 
 
 def verify_symplectic_random(
-    ctx: GenusContext, count: int = 500, max_length: int = 40, seed: int = 20260809
+    ctx: GenusContext, count: int = 500, max_length: int = 40, seed: int = DEFAULT_SEED
 ) -> VerificationReport:
     """Symplectic membership and determinant 1 for random braid images."""
     rng = random.Random(seed)

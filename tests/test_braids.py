@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from braidact import (
     half_twist,
     parse_braid,
 )
+from braidact.braids import artin_relations
 from braidact.symplectic import random_braid
 
 SEED = 0x5EED
@@ -73,6 +76,33 @@ def test_braid_relations_hold_exhaustively():
             for j in range(i + 2, n):
                 si, sj = BraidWord(n, (i,)), BraidWord(n, (j,))
                 assert braids_equal(si * sj, sj * si)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_artin_relations_spell_each_relation_once(n):
+    rows = artin_relations(n)
+    adjacent = [(i, i + 1) for i in range(1, n - 1)]
+    expected = [
+        (f"braid.{i}-{j}", (i, j, i), (j, i, j))
+        if (i, j) in adjacent
+        else (f"commute.{i}-{j}", (i, j), (j, i))
+        for i, j in itertools.combinations(range(1, n), 2)
+    ]
+    assert [(name, left, right) for name, _, left, right in rows] == expected
+    assert len(rows) == math.comb(n - 1, 2)
+    braid_rows = [name for name, *_ in rows if name.startswith("braid.")]
+    assert braid_rows == [f"braid.{i}-{j}" for i, j in adjacent] and len(braid_rows) == n - 2
+    for name, _, left, right in rows:
+        assert braids_equal(BraidWord(n, left), BraidWord(n, right)), name
+    assert n > 2 or rows == ()
+
+
+def test_artin_relations_spell_both_sides_in_the_description():
+    assert artin_relations(4)[:2] == (
+        ("braid.1-2", "s1 s2 s1 = s2 s1 s2", (1, 2, 1), (2, 1, 2)),
+        ("commute.1-3", "s1 s3 = s3 s1", (1, 3), (3, 1)),
+    )
+    assert artin_relations(4, "M")[1][1] == "M1 M3 = M3 M1"
 
 
 def test_braids_equal_examples():

@@ -216,6 +216,54 @@ def test_unknown_suite_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+# -- property: a malformed command line is one error line, exit 2 -----------
+
+NOT_INTS = ("x", "1.5", "", "2e3")
+
+malformed_command_lines = st.one_of(
+    st.just([]),
+    st.sampled_from(("frob", "Verify", "help")).map(lambda c: [c]),
+    st.sampled_from(("everything", "sp5", "")).map(lambda s: ["verify", s]),
+    st.sampled_from(
+        (["apply"], ["apply", "1"], ["matrix"], ["equal", "1"], ["parse"], ["parse", "word"], ["verify"])
+    ),
+    st.tuples(
+        st.sampled_from(
+            (
+                ["apply", "1", "a1", "--genus"],
+                ["apply", "1", "a1", "--max-len"],
+                ["matrix", "1", "--genus"],
+                ["equal", "1", "1", "--strands"],
+                ["parse", "braid", "1", "--strands"],
+                ["verify", "all", "--genus"],
+                ["verify", "all", "--max-len"],
+                ["verify", "all", "--seed"],
+            )
+        ),
+        st.sampled_from(NOT_INTS),
+    ).map(lambda p: [*p[0], p[1]]),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(malformed_command_lines)
+def test_malformed_command_line_is_one_error_line(args):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(args)
+    assert exc.value.code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_unknown_suite_names_the_bad_argument(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "everything"])
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: argument suite: invalid choice") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("suite", ["monoid", "all"])
 def test_verify_balls_over_budget_exit_3_before_any_enumeration(capsys, monkeypatch, suite):
     # About 10^12 words: only the patched ball may ever see this input.

@@ -130,6 +130,28 @@ def test_gamma17_jump_as_recorded_fails_but_corrected_form_passes():
     assert by_id["sp4.gamma17.matrix.post-jump-corrected"].status == "quotient-level-pass"
 
 
+def test_each_exact_identity_is_one_named_row():
+    gamma, gamma17 = sp4.gamma_identities(), sp4.gamma17_identities()
+    assert len(gamma) == 21 and len(gamma17) == 3
+    names = [name for name, *_ in gamma + gamma17]
+    assert len(set(names)) == len(names)
+    assert all(name.startswith("sp4.gamma.") for name, *_ in gamma)
+    assert all(name.startswith("sp4.gamma17.") for name, *_ in gamma17)
+    # Every gamma check but the scope note comes from a row.
+    gamma_ids = {c.check_id for c in sp4.verify_gamma_identities().checks}
+    assert gamma_ids == {name for name, *_ in gamma} | {"sp4.gamma.trivial-lifts-scope-note"}
+    matrix_ids = [c.check_id for c in sp4.verify_all().checks if ".matrix." in c.check_id]
+    assert len(matrix_ids) == len(set(matrix_ids)) == 4 + 11
+
+
+def test_gamma17_jump_witness_spells_both_braids():
+    by_id = {c.check_id: c for c in sp4.verify_gamma17_quotient().checks}
+    assert by_id["sp4.gamma17.jump"].witness == {
+        "left": str(sp4.gamma_elements().gamma17),
+        "right": str(sp4._gamma17_chain_words()["post-jump"]),
+    }
+
+
 def test_alpha_square_action_matches_the_recorded_automorphism():
     act = sp4.alpha_square_action()
     assert act.forward.fixes(1) and act.forward.fixes(3)
