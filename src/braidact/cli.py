@@ -52,8 +52,9 @@ MAX_EQUAL_STRANDS = 256
 
 # `verify monoid` and `verify all` enumerate every omega word of length
 # up to --max-len (the normal-form sweep) and up to min(4, --max-len)
-# (the section), sum (g+2)^k words per ball at g+2 letters, about 6.5 us
-# a word: 1.1 million words (genus 8, --max-len 6) took 7.3 s in 20 MB.
+# (the section), sum (g+2)^k words per ball at g+2 letters, about 3.4 us
+# a word: 1.1 million words (genus 8, --max-len 6) took 3.8 s in 22 MB
+# (2-vCPU x86_64 virtual machine, CPython 3.11).
 MAX_BALL_WORDS = 2_000_000
 
 GENUS_HELP = f"genus g >= 1, at most {MAX_GENUS} (larger exits 3)"

@@ -45,14 +45,28 @@ def fold(images, moves: Moves, letters: Sequence[int]):
 
     ``images.evaluate(action)`` computes a moved generator's new image
     from the current images and ``images[k] = image`` installs it.  All
-    images of one step are computed before any is installed.  Returns
-    ``images``, updated in place.
+    images of one step are computed before any is installed.  Every
+    twist, Artin and transvection letter moves one or two generators, so
+    those steps are unrolled: one image is evaluated and installed, or
+    two are evaluated and then both installed.  A step that moves more
+    goes through a list of updates.  Returns ``images``, updated in
+    place.
     """
     evaluate = images.evaluate
     for x in letters:
-        updates = [(k, evaluate(action)) for k, action in moves[x]]
-        for k, image in updates:
+        step = moves[x]
+        if len(step) == 1:
+            ((k, action),) = step
+            images[k] = evaluate(action)
+        elif len(step) == 2:
+            (k, action), (j, other) = step
+            image, other = evaluate(action), evaluate(other)
             images[k] = image
+            images[j] = other
+        else:
+            updates = [(k, evaluate(action)) for k, action in step]
+            for k, image in updates:
+                images[k] = image
     return images
 
 

@@ -18,10 +18,12 @@ the letters by block.  Over an exhaustive ball,
 act alike, and ``verify_section`` that distinct normal forms act
 distinctly: the monoid is free on its blocks, so lifting normal forms to
 braid crossings sections the braid action on it.  Both read the ball
-from ``omega_ball``, one fold step per word on top of its prefix; its
-words are built from alphabet letters, so they skip the alphabet
-check that ``OmegaWord`` makes for other callers, and their images are
-positive, so the fold never inverts one.
+from ``omega_ball``, one step per word on top of its prefix.  Its words
+are built from alphabet letters, so they skip the alphabet check that
+``OmegaWord`` makes for other callers.  Their images are positive
+words, so a step concatenates prefix images and never substitutes,
+reduces or inverts; and the sweep appends each word's last letter to
+its prefix's normal form instead of sorting the word.
 
 Omega-word letters reuse the signed-integer convention: ``+k`` is the
 twist t_k, ``-k`` its inverse, so the braid lift is literally the same
@@ -38,8 +40,7 @@ from ._value import Value
 from .action import GenusContext, twist_automorphism, twist_table
 from .braids import BraidWord
 from .endo import DEFAULT_LENGTH_CAP, Automorphism, Endomorphism
-from .errors import BraidactError, MalformedWordError, WordSyntaxError
-from .fold import WordImages, fold
+from .errors import BraidactError, MalformedWordError, ResourceLimitError, WordSyntaxError
 from .report import VerificationReport, condition_check
 from .symplectic import sl2_matrices
 from .words import token_index
@@ -250,34 +251,68 @@ def omega_words(g: int, max_len: int) -> Iterator[OmegaWord]:
 def omega_ball(g: int, max_len: int, cap: int = DEFAULT_LENGTH_CAP) -> Iterator[tuple]:
     """Every omega word of length <= max_len with its generator images.
 
-    A word's images are its prefix's, kept on a stack indexed by length,
-    with the last letter folded in: one sparse fold step per word.
-    ResourceLimitError if an image grows past ``cap`` letters.
+    The images are kept as one tuple per depth, and a word's are its
+    prefix's with the last letter's moved image rebuilt.  That letter's
+    action is positive and so are the prefix's images, so the new image
+    is the concatenation of the prefix images the action names: a step
+    concatenates and never substitutes, reduces or inverts.  The actions
+    are read from ``twist_table(g).moves`` on every call; BraidactError
+    if one is not positive, ResourceLimitError if an image grows past
+    ``cap`` letters.
     """
     moves = twist_table(g).moves
-    stack = [WordImages(2 * g, cap) for _ in range(max_len + 1)]
+    steps = {}
+    for x in omega_alphabet(g):
+        for k, action in moves[x]:
+            if any(a < 0 for a in action):
+                raise BraidactError(
+                    f"omega letter {x} maps generator {k + 1} to a non-positive word"
+                )
+        steps[x] = tuple((k, tuple(a - 1 for a in action)) for k, action in moves[x])
+    depth = [tuple((k,) for k in range(1, 2 * g + 1))] * (max_len + 1)
     for word in omega_words(g, max_len):
         letters = word.letters
         n = len(letters)
         if n:
-            images, prefix = stack[n], stack[n - 1]
-            images.pos[:] = prefix.pos
-            images.neg[:] = prefix.neg
-            fold(images, moves, letters[-1:])
-        yield word, tuple(stack[n].pos)
+            prefix = depth[n - 1]
+            images = list(prefix)
+            for k, action in steps[letters[-1]]:
+                image = ()
+                for a in action:
+                    image += prefix[a]
+                if len(image) > cap:
+                    raise ResourceLimitError(cap)
+                images[k] = image
+            depth[n] = tuple(images)
+        yield word, depth[n]
 
 
 def _normal_forms(g: int, max_len: int) -> tuple[int, int, dict]:
     """One pass over the ball: the number of words, the number whose
     images differ from the first word's of the same normal form, and
-    each normal form's letters mapped to that first word's images."""
-    forms: dict[tuple[int, ...], tuple] = {}
+    each normal form's letters mapped to that first word's images.
+
+    A word's normal form is kept as its runs, one per block, one tuple
+    of runs per depth: the prefix's runs with the last letter appended
+    to its block's run, so no word is sorted.
+    """
+    run_of = {x: max(block - 1, 0) for x, block in _blocks(g).items()}
+    depth = [((),) * g] * (max_len + 1)
+    forms: dict[tuple, tuple] = {}
     total = mismatches = 0
     for word, images in omega_ball(g, max_len):
         total += 1
-        form = _normal_letters(g, word.letters)
-        mismatches += forms.setdefault(form, images) != images
-    return total, mismatches, forms
+        letters = word.letters
+        n = len(letters)
+        if n:
+            runs = list(depth[n - 1])
+            x = letters[-1]
+            runs[run_of[x]] += (x,)
+            depth[n] = tuple(runs)
+        mismatches += forms.setdefault(depth[n], images) != images
+    return total, mismatches, {
+        tuple(itertools.chain.from_iterable(runs)): images for runs, images in forms.items()
+    }
 
 
 def _sweep_witness(total: int, failures: int) -> str:

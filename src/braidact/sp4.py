@@ -41,7 +41,8 @@ gamma = s1 s3^-1 s5.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .action import GenusContext, braid_automorphism
 from .braids import NAMED_B6, BraidWord, artin_relations, braids_equal
@@ -185,8 +186,10 @@ def lift_table() -> dict[str, BraidWord]:
     }
 
 
+@lru_cache(maxsize=None)
 def gamma_elements() -> GammaElements:
-    """The seven lifted relators, each in its recorded word form."""
+    """The seven lifted relators, each in its recorded word form, built
+    once: the tuple and its braids are immutable."""
     gamma_shifted = GAMMA.conjugated_by(_b6(-5, -4))
     # s1^-1 s3 s5^-1: gamma^-1 with its commuting letters in another order.
     gamma_inv_commuted = _b6(-1, 3, -5)
@@ -451,8 +454,10 @@ def verify_presentation() -> VerificationReport:
     return VerificationReport("sp4-presentation", checks)
 
 
-def _gamma17_chain_words() -> dict[str, BraidWord]:
-    """Every recorded stage of the reduction of the 17th lifted relator.
+@lru_cache(maxsize=None)
+def _gamma17_chain_words() -> Mapping[str, BraidWord]:
+    """Every recorded stage of the reduction of the 17th lifted relator,
+    built once as a read-only mapping.
 
     The jump and derived entries are recorded as exact rewritings (the
     corrected-jump twin replaces the reversed conjugate); the lettered
@@ -464,7 +469,7 @@ def _gamma17_chain_words() -> dict[str, BraidWord]:
     # The conjugate the half twist actually produces (indices flipped in
     # place); the recorded jump_block above is its reversal.
     jump_block_flipped = _b6(-1, -2, -5, 3, -1, 2, 1)
-    return {
+    return MappingProxyType({
         "post-jump": (
             ALPHA * jump_block * ALPHA.inverse() * X_ALPHA * ALPHA * jump_block * DELTA
         ),
@@ -500,7 +505,7 @@ def _gamma17_chain_words() -> dict[str, BraidWord]:
         ),
         "gamma-prime": GAMMA_PRIME,
         "conjugated-closed-form": GAMMA_PRIME_CLOSED.conjugated_by(W_JUMP_CONJUGATOR),
-    }
+    })
 
 
 def gamma17_identities() -> tuple[tuple[str, str, BraidWord, BraidWord], ...]:

@@ -387,6 +387,28 @@ command_lines = st.one_of(
 )
 
 
+# Every builder of a generator table or an omega ball, at the bindings
+# the commands call it through.
+BUILDERS = (
+    (action, "twist_table"),
+    (cli, "twist_table"),
+    (symplectic, "_twist_columns"),
+    (braids, "_artin_table"),
+    (monoid, "omega_ball"),
+)
+
+
+def refuse_to_build(*args):
+    raise AssertionError(f"a table or ball was built for {args}")
+
+
+def exit_code_and_errors(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue().splitlines()
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(command_lines)
 @example(["equal", "1 2 1", "2 1 2", "--strands", str(MAX_EQUAL_STRANDS)])
@@ -397,12 +419,15 @@ command_lines = st.one_of(
 @example(["parse", "braid", "DELTA6", "--strands", "6"])
 @example(["verify", "sp4", "--genus", str(10**9)])
 def test_every_command_line_exits_with_a_stated_code(args):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(args)
-    lines = err.getvalue().splitlines()
+    code, lines = exit_code_and_errors(args)
     if code in (0, 1):
         assert lines == []
     else:
         assert code in (2, 3)
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    if code == 3 and "over the budget" in lines[0]:
+        # A budget exit comes before any table or ball is built.
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in BUILDERS:
+                mp.setattr(module, name, refuse_to_build)
+            assert exit_code_and_errors(args) == (code, lines)

@@ -28,7 +28,7 @@ from braidact import _kernels, monoid
 from braidact.action import twist_table
 from braidact.braids import _artin_table
 from braidact.endo import DEFAULT_LENGTH_CAP
-from braidact.fold import ColumnImages, fold, moved_columns
+from braidact.fold import ColumnImages, WordImages, fold, moved_columns, moved_words
 from braidact.symplectic import random_braid
 
 SEED = 0xF01D
@@ -200,3 +200,16 @@ def test_empty_combination_is_the_zero_column():
     assert images.evaluate(()) == (0, 0, 0)
     assert images.evaluate(((1, 1),)) == (0, 1, 0)
     assert images.evaluate(((0, -1), (2, 2))) == (-1, 0, 2)
+
+
+def test_two_move_step_evaluates_both_images_before_installing_either():
+    # Letter 1 swaps the two generators, so each moved image reads the
+    # other's: installing the first before evaluating the second would
+    # copy one generator into both.
+    words = {1: moved_words(((2,), (1,)))}
+    columns = {1: moved_columns(((0, 1), (1, 0)))}
+    assert len(words[1]) == len(columns[1]) == 2
+    assert fold(WordImages(2, 10), words, (1,)).pos == [(2,), (1,)]
+    assert fold(WordImages(2, 10), words, (1, 1)).pos == [(1,), (2,)]
+    assert fold(ColumnImages(2), columns, (1,)).columns == [(0, 1), (1, 0)]
+    assert fold(ColumnImages(2), columns, (1, 1)).columns == [(1, 0), (0, 1)]

@@ -191,3 +191,58 @@ def test_generated_omega_words_equal_checked_ones():
         assert form.reassembled().letters == monoid._normal_letters(3, word.letters)
     # The checked constructor still rejects a letter outside the alphabet:
     # test_omega_alphabet_letters pins OmegaWord(2, (3,)).
+
+
+def sorted_normal_forms(g, max_len):
+    """The sweep by sorting every word: ``_normal_forms`` keeps each
+    word's runs from its prefix instead."""
+    forms = {}
+    total = mismatches = 0
+    for word, images in monoid.omega_ball(g, max_len):
+        total += 1
+        mismatches += forms.setdefault(monoid._normal_letters(g, word.letters), images) != images
+    return total, mismatches, forms
+
+
+def in_order(total, mismatches, forms):
+    return total, mismatches, list(forms.items())
+
+
+@pytest.mark.parametrize("g, max_len", [(2, 5), (3, 4), (4, 3)])
+def test_normal_forms_match_a_sort_of_every_word(g, max_len):
+    expected = in_order(*sorted_normal_forms(g, max_len))
+    assert in_order(*monoid._normal_forms(g, max_len)) == expected
+
+
+def test_normal_forms_match_a_sort_of_every_word_under_a_collision(monkeypatch):
+    moves = twist_table(2).moves
+    monkeypatch.setitem(moves, -4, moves[-2])  # as in the section's failing case
+    expected = in_order(*sorted_normal_forms(2, 4))
+    assert expected[1] > 0
+    assert in_order(*monoid._normal_forms(2, 4)) == expected
+
+
+@pytest.mark.parametrize("g, cap", [(2, 3), (3, 4)])
+def test_ball_trips_the_cap_on_the_first_word_whose_fold_does(g, cap):
+    def trips(word):
+        try:
+            twist_table(g).endomorphism(word.letters, cap)
+        except ResourceLimitError:
+            return True
+        return False
+
+    words = list(monoid.omega_words(g, 4))
+    first = next(i for i, word in enumerate(words) if trips(word))
+    assert len(words[first]) > 1
+    yielded = []
+    with pytest.raises(ResourceLimitError):
+        for word, _ in monoid.omega_ball(g, 4, cap):
+            yielded.append(word)
+    assert yielded == words[:first]
+
+
+def test_ball_rejects_a_non_positive_action(monkeypatch):
+    moves = twist_table(2).moves
+    monkeypatch.setitem(moves, -4, moves[3])  # the interior odd twist t_3
+    with pytest.raises(BraidactError, match="non-positive"):
+        list(monoid.omega_ball(2, 2))

@@ -217,3 +217,11 @@ def test_golden_table_rejects_a_non_symplectic_matrix():
     assert not is_symplectic(doubled, 2)
     with pytest.raises(BraidactError, match="golden matrix 3 is not symplectic"):
         sp4.golden_columns(crossings[:2] + (doubled,))
+
+
+def test_constant_braid_tables_are_built_once_and_read_only():
+    assert sp4.gamma_elements() is sp4.gamma_elements()
+    chain = sp4._gamma17_chain_words()
+    assert chain is sp4._gamma17_chain_words()
+    with pytest.raises(TypeError):
+        chain["post-jump"] = chain["derived"]
