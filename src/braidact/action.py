@@ -11,11 +11,13 @@ them):
     t_{2i+1}:  b_i -> b_i a_i a_{i+1}^{-1},
                b_{i+1} -> a_{i+1} a_i^{-1} b_{i+1}       (1 <= i <= g-1)
 
-with all unnamed generators fixed.  These satisfy the braid relations
-(``verify_u_braid_relations`` folds both sides of every row of
-``braids.artin_relations`` over ``twist_table``), so the assignment
-extends to a homomorphism from the braid group into Aut(F_2g);
-``braid_automorphism`` evaluates it on braid words.  The
+with all unnamed generators fixed.  ``_twist`` spells each twist once,
+as its sparse moves and their inverses, and ``twist_table`` hands them
+to a ``GeneratorTable``, which checks each pair once.  The twists
+satisfy the braid relations (``verify_u_braid_relations`` folds both
+sides of every row of ``braids.artin_relations`` over ``twist_table``),
+so the assignment extends to a homomorphism from the braid group into
+Aut(F_2g); ``braid_automorphism`` evaluates it on braid words.  The
 kernel contains the center of the braid group, which the verification
 suite confirms mechanically via closed forms for the image of the
 descending cycle s_1 s_2 ... s_{2g+1} and of its square.
@@ -70,34 +72,23 @@ class GenusContext(Value):
         return FreeWord(self.rank, codes)
 
 
-def _twist(g: int, index: int) -> Automorphism:
-    ctx = GenusContext(g)
-    n = ctx.rank
+def _twist(g: int, index: int) -> tuple[tuple, tuple]:
+    """The (forward, backward) moves of t_index at genus g: the 0-based
+    index and image of each generator it moves, as in the formulas above."""
     a = lambda i: i
     b = lambda i: g + i
-
+    move = lambda k, *image: (k - 1, image)
     if index == 1:
-        fwd = {b(1): ctx.word(a(1), b(1))}
-        bwd = {b(1): ctx.word(-a(1), b(1))}
-    elif index == 2 * g + 1:
-        fwd = {b(g): ctx.word(b(g), a(g))}
-        bwd = {b(g): ctx.word(b(g), -a(g))}
-    elif index % 2 == 0:
+        return (move(b(1), a(1), b(1)),), (move(b(1), -a(1), b(1)),)
+    if index == 2 * g + 1:
+        return (move(b(g), b(g), a(g)),), (move(b(g), b(g), -a(g)),)
+    if index % 2 == 0:
         i = index // 2
-        fwd = {a(i): ctx.word(-b(i), a(i))}
-        bwd = {a(i): ctx.word(b(i), a(i))}
-    else:
-        i = (index - 1) // 2
-        fwd = {
-            b(i): ctx.word(b(i), a(i), -a(i + 1)),
-            b(i + 1): ctx.word(a(i + 1), -a(i), b(i + 1)),
-        }
-        bwd = {
-            b(i): ctx.word(b(i), a(i + 1), -a(i)),
-            b(i + 1): ctx.word(a(i), -a(i + 1), b(i + 1)),
-        }
-    return Automorphism(
-        Endomorphism.from_image_map(n, fwd), Endomorphism.from_image_map(n, bwd)
+        return (move(a(i), -b(i), a(i)),), (move(a(i), b(i), a(i)),)
+    i = (index - 1) // 2
+    return (
+        (move(b(i), b(i), a(i), -a(i + 1)), move(b(i + 1), a(i + 1), -a(i), b(i + 1))),
+        (move(b(i), b(i), a(i + 1), -a(i)), move(b(i + 1), a(i), -a(i + 1), b(i + 1))),
     )
 
 
@@ -113,7 +104,8 @@ def twist_automorphism(ctx: GenusContext, index: int) -> Automorphism:
 @lru_cache(maxsize=None)
 def twist_table(g: int) -> GeneratorTable:
     """The 2g+1 twists of genus g as a fold table (letter i is t_i)."""
-    return GeneratorTable(2 * g, [_twist(g, i) for i in range(1, 2 * g + 2)])
+    rank = GenusContext(g).rank
+    return GeneratorTable(rank, [_twist(g, i) for i in range(1, rank + 2)])
 
 
 def braid_automorphism(ctx: GenusContext, braid: BraidWord) -> Automorphism:
@@ -143,27 +135,14 @@ def sturmian_g1() -> dict[str, Automorphism]:
     G~: (a,b) -> (a,ba), D~: (a,b) -> (ab,b).
     The genus-1 twists are t_1 = G, t_2 = D^{-1}, t_3 = G~.
     """
-    w = lambda *codes: FreeWord(2, codes)
-
-    def auto(fwd_b=None, fwd_a=None, bwd_b=None, bwd_a=None):
-        fwd = {}
-        bwd = {}
-        if fwd_a is not None:
-            fwd[1] = fwd_a
-            bwd[1] = bwd_a
-        if fwd_b is not None:
-            fwd[2] = fwd_b
-            bwd[2] = bwd_b
-        return Automorphism(
-            Endomorphism.from_image_map(2, fwd), Endomorphism.from_image_map(2, bwd)
-        )
-
-    return {
-        "G": auto(fwd_b=w(1, 2), bwd_b=w(-1, 2)),
-        "D": auto(fwd_a=w(2, 1), bwd_a=w(-2, 1)),
-        "Gt": auto(fwd_b=w(2, 1), bwd_b=w(2, -1)),
-        "Dt": auto(fwd_a=w(1, 2), bwd_a=w(1, -2)),
-    }
+    a, b = 0, 1  # the 0-based index of the generator each one moves
+    table = GeneratorTable(2, [
+        (((b, (1, 2)),), ((b, (-1, 2)),)),  # G
+        (((a, (2, 1)),), ((a, (-2, 1)),)),  # D
+        (((b, (2, 1)),), ((b, (2, -1)),)),  # G~
+        (((a, (1, 2)),), ((a, (1, -2)),)),  # D~
+    ])
+    return {name: table.automorphism((i,)) for i, name in enumerate(("G", "D", "Gt", "Dt"), 1)}
 
 
 # The relations suite's wording of each kind of row of ``artin_relations``.

@@ -9,6 +9,8 @@ action on F_n,
     x_i -> x_i x_{i+1} x_i^{-1},   x_{i+1} -> x_i,   others fixed,
 
 so two braid words are equal iff their actions agree on every generator.
+Each crossing is handed to the fold table as these two moves and their
+inverses; the table checks each pair once, when it is built.
 This oracle is exact and fast for the word lengths that occur here; no
 Garside machinery is involved.
 
@@ -24,8 +26,7 @@ from typing import Iterable, Iterator
 from . import _kernels
 from ._value import Value
 from .errors import MalformedWordError, StrandMismatchError, WordSyntaxError
-from .endo import Automorphism, Endomorphism, GeneratorTable
-from .words import FreeWord
+from .endo import Automorphism, GeneratorTable
 
 
 def _in_range(letters: tuple[int, ...], strands: int) -> bool:
@@ -103,25 +104,17 @@ class BraidWord(Value):
         return f"BraidWord({self.strands}, {self.letters!r})"
 
 
-def _artin_generator(strands: int, index: int) -> Automorphism:
-    """The Artin automorphism of F_strands induced by one crossing."""
-    n = strands
-    x = lambda k, sign=1: FreeWord.generator(n, k, sign)
+def _artin_generator(index: int) -> tuple[tuple, tuple]:
+    """The (forward, backward) moves of the Artin automorphism of one
+    crossing: x_i -> x_i x_{i+1} x_i^{-1}, x_{i+1} -> x_i, and back
+    x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^{-1} x_i x_{i+1}."""
     i = index
-    forward = Endomorphism.from_image_map(
-        n, {i: FreeWord(n, (i, i + 1, -i)), i + 1: x(i)}
-    )
-    backward = Endomorphism.from_image_map(
-        n, {i: x(i + 1), i + 1: FreeWord(n, (-(i + 1), i, i + 1))}
-    )
-    return Automorphism(forward, backward)
+    return ((i - 1, (i, i + 1, -i)), (i, (i,))), ((i - 1, (i + 1,)), (i, (-(i + 1), i, i + 1)))
 
 
 @lru_cache(maxsize=None)
 def _artin_table(strands: int) -> GeneratorTable:
-    return GeneratorTable(
-        strands, [_artin_generator(strands, i) for i in range(1, strands)]
-    )
+    return GeneratorTable(strands, [_artin_generator(i) for i in range(1, strands)])
 
 
 def artin_action(braid: BraidWord) -> Automorphism:

@@ -5,11 +5,11 @@ applies ``e2`` first, then ``e1``, so the images of the product are
 ``e1(e2(x_k))``.  Equality of endomorphisms of a free group is equality
 of generator images, which word reduction makes a plain comparison.
 
-An Automorphism is a word in verified generators: a pair given by the
-caller is checked to be mutually inverse at construction time, and
-every other automorphism is a letter sequence over a ``GeneratorTable``
-of such pairs.  General inversion in Aut(F_n) is out of scope; the
-inverse of a word is the inverted word.
+An Automorphism is a letter sequence over a ``GeneratorTable``.  A
+generator is its (forward, backward) moves, the images each direction
+moves, and the table is the one place that checks each pair to be
+mutually inverse, once.  General inversion in Aut(F_n) is out of scope;
+the inverse of a word is the inverted word.
 
 A ``GeneratorTable`` evaluates words in its generators with the sparse
 forward-only fold of ``braidact.fold``: it touches only the images each
@@ -150,8 +150,8 @@ class Automorphism:
 
     ``letters`` name generators of ``table`` (``-i`` the inverse of the
     i-th) and ``forward`` is their fold; ``backward``, the fold of the
-    inverted letters, is computed on first use.  The constructor checks
-    a given pair and makes it the one generator of its own table.
+    inverted letters, is computed on first use.  The constructor makes a
+    given pair the one generator of its own table, which checks it.
     """
 
     __slots__ = ("table", "letters", "forward", "_backward")
@@ -161,19 +161,11 @@ class Automorphism:
             raise RankMismatchError(
                 f"forward rank {forward.rank} != backward rank {backward.rank}"
             )
-        for left, right, name in (
-            (forward, backward, "forward o backward"),
-            (backward, forward, "backward o forward"),
-        ):
-            for k, image in enumerate(right.images, 1):
-                if left.apply(image).letters != (k,):
-                    raise NotInverseError(
-                        f"{name} does not fix generator {k}", generator=k
-                    )
+        pair = (moved_words(forward._pos), moved_words(backward._pos))
+        self.table = GeneratorTable(forward.rank, (pair,))
+        self.letters = (1,)
         self.forward = forward
         self._backward = backward
-        self.table = GeneratorTable(forward.rank, (self,))
-        self.letters = (1,)
 
     @classmethod
     def identity(cls, rank: int) -> "Automorphism":
@@ -210,7 +202,10 @@ class Automorphism:
             return NotImplemented
         if self.table is other.table:
             return self.table.automorphism(self.letters + other.letters)
-        return GeneratorTable(self.rank, (self, other)).automorphism((1, 2))
+        if self.rank != other.rank:
+            raise RankMismatchError(f"cannot compose ranks {self.rank} and {other.rank}")
+        pairs = [(moved_words(a.forward._pos), moved_words(a.backward._pos)) for a in (self, other)]
+        return GeneratorTable(self.rank, pairs).automorphism((1, 2))
 
     def __pow__(self, exponent: int) -> "Automorphism":
         letters = self.letters if exponent >= 0 else _kernels.invert_reduced(self.letters)
@@ -240,21 +235,33 @@ class Automorphism:
 class GeneratorTable:
     """A list of verified generator automorphisms, kept sparsely for the fold.
 
-    Letter ``+i`` names the i-th generator and ``-i`` its inverse; for
-    each the table keeps only the images it moves.  A letter sequence
-    evaluates to the product of its letters, the rightmost acting first.
+    Generator i is given as its (forward, backward) moves, each the
+    ``(k, reduced image)`` entries of the generators it moves, k 0-based
+    and increasing.  Letter ``+i`` names it and ``-i`` its inverse; a
+    letter sequence evaluates to the product, the rightmost acting first.
+    The folds of ``i -i``, then ``-i i``, must fix every generator either
+    direction moves, else NotInverseError names the first that one fails.
     """
 
     __slots__ = ("rank", "moves")
 
-    def __init__(self, rank: int, generators: Sequence[Automorphism]):
+    def __init__(self, rank: int, pairs: Sequence[tuple[tuple, tuple]]):
         self.rank = rank
         self.moves = {}
-        for i, gen in enumerate(generators, 1):
-            if gen.rank != rank:
-                raise RankMismatchError(f"generator {i} has rank {gen.rank}, expected {rank}")
-            self.moves[i] = moved_words(gen.forward._pos)
-            self.moves[-i] = moved_words(gen.backward._pos)
+        for i, (forward, backward) in enumerate(pairs, 1):
+            self.moves[i] = forward
+            self.moves[-i] = backward
+            moved = sorted({k for k, _ in forward + backward})
+            for letters, name in (
+                ((i, -i), "forward o backward"),
+                ((-i, i), "backward o forward"),
+            ):
+                images = fold(WordImages(rank, DEFAULT_LENGTH_CAP), self.moves, letters).pos
+                for k in moved:
+                    if images[k] != (k + 1,):
+                        raise NotInverseError(
+                            f"{name} does not fix generator {k + 1}", generator=k + 1
+                        )
 
     def endomorphism(
         self, letters: Sequence[int], cap: int = DEFAULT_LENGTH_CAP
@@ -279,29 +286,43 @@ class GeneratorTable:
 
 def format_endomorphism(e: Endomorphism) -> str:
     """One ``name -> image`` line per generator, in the word grammar."""
-    lines = []
-    for k in range(1, e.rank + 1):
-        name = format_word(FreeWord.generator(e.rank, k))
-        lines.append(f"{name} -> {format_word(e.images[k - 1])}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{format_word(FreeWord.generator(e.rank, k))} -> {format_word(image)}"
+        for k, image in enumerate(e.images, 1)
+    )
 
 
 def parse_endomorphism(text: str, rank: int) -> Endomorphism:
     """Parse the ``name -> image`` line format produced by format_endomorphism.
 
-    Generators missing from the text are fixed.
+    Generators missing from the text are fixed.  An error's position is
+    its character offset in ``text``: the bad token's, or for a line
+    with no ``->`` or a bad left side, the start of the line's first
+    token.
     """
     images: dict[int, FreeWord] = {}
-    for lineno, line in enumerate(text.splitlines()):
+    end = 0
+    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
+        start, end = end, end + len(line)
         if not line.strip():
             continue
-        if "->" not in line:
-            raise WordSyntaxError(f"missing '->' in line {lineno + 1}", 0)
-        left, right = line.split("->", 1)
-        source = parse_word(left, rank)
+        first = start + len(line) - len(line.lstrip())
+        left, arrow, right = line.partition("->")
+        if not arrow:
+            raise WordSyntaxError(f"missing '->' in line {lineno}", first)
+        source = _parse_at(left, start, rank)
         if len(source.letters) != 1 or source.letters[0] < 0:
             raise WordSyntaxError(
-                f"left side of line {lineno + 1} must be a single generator", 0
+                f"left side of line {lineno} must be a single generator", first
             )
-        images[source.letters[0]] = parse_word(right, rank)
+        images[source.letters[0]] = _parse_at(right, start + len(left) + 2, rank)
     return Endomorphism.from_image_map(rank, images)
+
+
+def _parse_at(text: str, offset: int, rank: int) -> FreeWord:
+    """``parse_word`` of a part of a longer text that starts at ``offset``,
+    with an error's position moved to that text."""
+    try:
+        return parse_word(text, rank)
+    except WordSyntaxError as err:
+        raise WordSyntaxError(err.message, offset + err.position) from None

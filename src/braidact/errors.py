@@ -29,6 +29,7 @@ class WordSyntaxError(BraidactError, ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
     @classmethod

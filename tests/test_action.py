@@ -28,18 +28,36 @@ def test_genus_context():
         GenusContext(0)
 
 
+def twist_formula(ctx, index):
+    """The generators t_index moves, each with its forward and backward
+    image, as the action module's docstring states them."""
+    g, a, b = ctx.g, ctx.a, ctx.b
+    if index == 1:  # b_1 -> a_1 b_1
+        return {b(1): (a(1) * b(1), a(1, -1) * b(1))}
+    if index == 2 * g + 1:  # b_g -> b_g a_g
+        return {b(g): (b(g) * a(g), b(g) * a(g, -1))}
+    if index % 2 == 0:  # a_i -> b_i^{-1} a_i
+        i = index // 2
+        return {a(i): (b(i, -1) * a(i), b(i) * a(i))}
+    i = (index - 1) // 2  # b_i -> b_i a_i a_{i+1}^{-1}, b_{i+1} -> a_{i+1} a_i^{-1} b_{i+1}
+    return {
+        b(i): (b(i) * a(i) * a(i + 1, -1), b(i) * a(i + 1) * a(i, -1)),
+        b(i + 1): (a(i + 1) * a(i, -1) * b(i + 1), a(i) * a(i + 1, -1) * b(i + 1)),
+    }
+
+
 def test_twist_images_match_their_defining_formulas():
-    ctx = GenusContext(2)
-    assert twist_automorphism(ctx, 1).apply(ctx.b(1)) == FreeWord(4, (1, 3))
-    assert twist_automorphism(ctx, 5).apply(ctx.b(2)) == FreeWord(4, (4, 2))
-    t3 = twist_automorphism(ctx, 3)
-    assert t3.apply(ctx.b(1)) == FreeWord(4, (3, 1, -2))
-    assert t3.apply(ctx.b(2)) == FreeWord(4, (2, -1, 4))
-    # everything else is fixed
-    assert t3.apply(ctx.a(1)) == ctx.a(1)
-    assert t3.apply(ctx.a(2)) == ctx.a(2)
+    for g in (1, 2, 3, 4):
+        ctx = GenusContext(g)
+        basis = [ctx.a(i) for i in range(1, g + 1)] + [ctx.b(i) for i in range(1, g + 1)]
+        for index in range(1, 2 * g + 2):
+            t = twist_automorphism(ctx, index)
+            moved = twist_formula(ctx, index)
+            # everything not named is fixed
+            assert t.forward.images == tuple(moved.get(x, (x,))[0] for x in basis)
+            assert t.backward.images == tuple(moved.get(x, (x, x))[1] for x in basis)
     with pytest.raises(MalformedWordError):
-        twist_automorphism(ctx, 6)
+        twist_automorphism(GenusContext(2), 6)
 
 
 def test_twist_inverses_fix_generators():

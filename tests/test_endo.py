@@ -10,11 +10,16 @@ from braidact import (
     IntMatrix,
     NotInverseError,
     RankMismatchError,
+    WordSyntaxError,
     format_endomorphism,
     parse_endomorphism,
     sturmian_g1,
     twist_automorphism,
 )
+from braidact import _kernels
+from braidact.action import twist_table
+from braidact.braids import _artin_table
+from braidact.endo import GeneratorTable
 
 SEED = 0xBADCAFE
 
@@ -55,6 +60,10 @@ def test_apply_distributes_and_respects_inverse():
 def test_apply_rank_mismatch():
     with pytest.raises(RankMismatchError):
         Endomorphism.identity(2).apply(FreeWord(4, (1,)))
+    small, large = (twist_automorphism(GenusContext(g), 1) for g in (1, 2))
+    for left, right in ((small, large), (large, small)):
+        with pytest.raises(RankMismatchError):
+            left * right
 
 
 def test_compose_convention_right_acts_first():
@@ -119,6 +128,45 @@ def test_constructor_rejects_non_inverse_with_witness():
     with pytest.raises(NotInverseError) as exc:
         Automorphism(fwd, fwd)
     assert exc.value.generator == 2
+    assert str(exc.value) == "forward o backward does not fix generator 2"
+
+
+@pytest.mark.parametrize(
+    "backward, backward_moves",
+    [
+        ({2: w(2, 1, 2)}, ((1, (1, 2)),)),  # b -> ab both ways
+        ({}, ()),  # only the forward direction moves b
+        ({1: w(2, 2, 1), 2: w(2, -1, 2)}, ((0, (2, 1)), (1, (-1, 2)))),  # a -> ba is wrong
+    ],
+)
+def test_table_rejects_a_non_inverse_pair_as_the_constructor_does(backward, backward_moves):
+    fwd = Endomorphism.from_image_map(2, {2: w(2, 1, 2)})
+    with pytest.raises(NotInverseError) as expected:
+        Automorphism(fwd, Endomorphism.from_image_map(2, backward))
+    good = (((1, (1, 2)),), ((1, (-1, 2)),))
+    with pytest.raises(NotInverseError) as exc:
+        GeneratorTable(2, [good, (((1, (1, 2)),), backward_moves)])
+    assert str(exc.value) == str(expected.value)
+    assert exc.value.generator == expected.value.generator
+
+
+def test_table_set_up_grows_with_the_moves(monkeypatch):
+    """Checking a generator folds only the images it moves, so building a
+    table substitutes a bounded number of times per generator at any rank
+    (a dense check substitutes every image of the rank)."""
+    calls = []
+    substitute = _kernels.substitute
+
+    def counted(*args):
+        calls.append(1)
+        return substitute(*args)
+
+    monkeypatch.setattr(_kernels, "substitute", counted)
+    for build, size, generators in ((_artin_table, 64, 63), (twist_table, 16, 33)):
+        calls.clear()
+        table = build.__wrapped__(size)  # a fresh table, past the cache
+        assert len(table.moves) == 2 * generators
+        assert 0 < len(calls) <= 8 * generators
 
 
 def test_abelianization_matrix_examples():
@@ -169,3 +217,22 @@ def test_endomorphism_text_roundtrip():
     text = format_endomorphism(t3)
     assert "b1 -> b1 a1 A2" in text.splitlines()
     assert parse_endomorphism(text, 4) == t3
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("a1 -> q9", 6),
+        ("a1 -> a1\nb1 -> b1 q9", 18),
+        ("a1 -> a1\r\n Q1 -> b1", 11),
+        ("a1 -> a1\n\n  b1 b1", 12),  # missing '->': the line's first token
+        ("b1 -> a1\n A1 -> b1", 10),  # left side not a generator: its first token
+        ("a1 -> b1\n  a1 b1 -> b1", 11),
+        ("b1 -> a1\n   -> b1", 12),  # an empty left side: the arrow
+    ],
+)
+def test_endomorphism_syntax_errors_point_into_the_whole_text(text, position):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_endomorphism(text, 2)
+    assert exc.value.position == position
+    assert str(exc.value).endswith(f"(at position {position})")
