@@ -218,19 +218,19 @@ def verify_center_vanishes(ctx: GenusContext) -> VerificationReport:
         equality_check(
             f"center.g{g}.cycle-closed-form",
             f"descending-cycle action matches its closed form (genus {g})",
-            cycle.forward,
+            cycle,
             _cycle_image_closed_form(ctx),
         ),
         equality_check(
             f"center.g{g}.cycle-square-closed-form",
             f"squared descending-cycle action matches its closed form (genus {g})",
-            (cycle * cycle).forward,
+            cycle * cycle,
             _cycle_square_closed_form(ctx),
         ),
         equality_check(
             f"center.g{g}.full-twist-trivial",
             f"the (2g+2)-nd power of the cycle acts as the identity (genus {g})",
-            (cycle ** (2 * g + 2)).forward,
+            cycle ** (2 * g + 2),
             Endomorphism.identity(ctx.rank),
         ),
     ]

@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
             ctx = _budgeted_genus(args.genus)
             braid = parse_braid(args.braid, ctx.strands)
             word = parse_word(args.word, ctx.rank)
-            image = twist_table(ctx.g).endomorphism(braid.letters, cap).apply(word, cap)
+            image = twist_table(ctx.g).automorphism(braid.letters, cap).apply(word, cap)
             text = format_word(image)
             print(json.dumps({"result": text}) if args.json else text)
             return 0

@@ -1,21 +1,23 @@
-"""Endomorphisms and automorphisms of a free group, given by generator images.
+"""Maps of a free group, given by generator images.
 
 Composition follows standard function-composition order: ``e1 * e2``
 applies ``e2`` first, then ``e1``, so the images of the product are
 ``e1(e2(x_k))``.  Equality of endomorphisms of a free group is equality
 of generator images, which word reduction makes a plain comparison.
 
-An Automorphism is a letter sequence over a ``GeneratorTable``.  A
-generator is its (forward, backward) moves, the images each direction
-moves, and the table is the one place that checks each pair to be
-mutually inverse, once.  General inversion in Aut(F_n) is out of scope;
-the inverse of a word is the inverted word.
+There is one map type.  An ``Automorphism`` is an ``Endomorphism`` that
+also knows its letter sequence over a ``GeneratorTable``.  A generator
+is its (forward, backward) moves, the images each direction moves, and
+the table is the one place that checks each pair to be mutually
+inverse, once.  General inversion in Aut(F_n) is out of scope; the
+inverse of a word is the inverted word.
 
-A ``GeneratorTable`` evaluates words in its generators with the sparse
-forward-only fold of ``braidact.fold``: it touches only the images each
-letter moves.  A product over one table concatenates the letters, and a
-product over two tables is the word ``1 2`` over a table of the two
-factors.
+A ``GeneratorTable`` has one evaluation method, ``automorphism``: the
+sparse forward-only fold of ``braidact.fold`` of a letter sequence, which
+touches only the images each letter moves.  A product over one table
+concatenates the letters, a product over two tables is the word ``1 2``
+over a table of the two factors, and a product with a plain
+endomorphism composes the images.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import _kernels
 from .errors import NotInverseError, RankMismatchError, WordSyntaxError
 from .fold import WordImages, fold, moved_words
 from .matrices import IntMatrix
-from .words import FreeWord, format_word, parse_word
+from .words import FreeWord, parse_word
 
 DEFAULT_LENGTH_CAP = 10**6
 
@@ -69,7 +71,7 @@ class Endomorphism:
     @classmethod
     def from_image_map(cls, rank: int, images: dict[int, FreeWord]) -> "Endomorphism":
         """Identity on every generator except those listed in ``images``."""
-        return cls(
+        return Endomorphism(
             rank,
             tuple(
                 images.get(k, FreeWord.generator(rank, k)) for k in range(1, rank + 1)
@@ -139,22 +141,22 @@ class Endomorphism:
         return IntMatrix._wrap(tuple(zip(*(w.abelianized() for w in self.images))))
 
     def __repr__(self) -> str:
-        return f"Endomorphism({self.rank}, {list(self.images)!r})"
+        return f"{type(self).__name__}({self.rank}, {list(self.images)!r})"
 
     def __str__(self) -> str:
         return format_endomorphism(self)
 
 
-class Automorphism:
-    """An automorphism of F_rank as a word over a table of verified generators.
+class Automorphism(Endomorphism):
+    """An endomorphism that knows its word over a table of verified generators.
 
     ``letters`` name generators of ``table`` (``-i`` the inverse of the
-    i-th) and ``forward`` is their fold; ``backward``, the fold of the
-    inverted letters, is computed on first use.  The constructor makes a
-    given pair the one generator of its own table, which checks it.
+    i-th) and the images are their fold.  The constructor makes a given
+    (forward, backward) pair the one generator of its own table, which
+    checks it.
     """
 
-    __slots__ = ("table", "letters", "forward", "_backward")
+    __slots__ = ("table", "letters")
 
     def __init__(self, forward: Endomorphism, backward: Endomorphism):
         if forward.rank != backward.rank:
@@ -164,72 +166,34 @@ class Automorphism:
         pair = (moved_words(forward._pos), moved_words(backward._pos))
         self.table = GeneratorTable(forward.rank, (pair,))
         self.letters = (1,)
-        self.forward = forward
-        self._backward = backward
+        self.rank = forward.rank
+        self._pos = forward._pos
+        self._neg = None
 
     @classmethod
     def identity(cls, rank: int) -> "Automorphism":
         return GeneratorTable(rank, ()).automorphism(())
 
-    @property
-    def backward(self) -> Endomorphism:
-        if self._backward is None:
-            self._backward = self.inverse().forward
-        return self._backward
-
-    @property
-    def rank(self) -> int:
-        return self.forward.rank
-
-    @property
-    def images(self) -> tuple[FreeWord, ...]:
-        return self.forward.images
-
-    def apply(self, word: FreeWord, cap: int | None = None) -> FreeWord:
-        return self.forward.apply(word, cap)
-
-    def __call__(self, word: FreeWord) -> FreeWord:
-        return self.forward.apply(word)
-
     def inverse(self) -> "Automorphism":
         return self ** -1
 
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
+    def __mul__(self, other: Endomorphism) -> Endomorphism:
         """The concatenated letters over a shared table, not freely reduced
         (the folded images decide equality); else the word ``1 2`` over a
-        table of the two factors."""
+        table of the two factors.  A product with a plain endomorphism is
+        the composite of images."""
         if not isinstance(other, Automorphism):
-            return NotImplemented
+            return super().__mul__(other)
         if self.table is other.table:
             return self.table.automorphism(self.letters + other.letters)
         if self.rank != other.rank:
             raise RankMismatchError(f"cannot compose ranks {self.rank} and {other.rank}")
-        pairs = [(moved_words(a.forward._pos), moved_words(a.backward._pos)) for a in (self, other)]
+        pairs = [(moved_words(a._pos), moved_words(a.inverse()._pos)) for a in (self, other)]
         return GeneratorTable(self.rank, pairs).automorphism((1, 2))
 
     def __pow__(self, exponent: int) -> "Automorphism":
         letters = self.letters if exponent >= 0 else _kernels.invert_reduced(self.letters)
         return self.table.automorphism(letters * abs(exponent))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return self.forward == other.forward
-
-    def __hash__(self) -> int:
-        return hash(self.forward)
-
-    def is_identity(self) -> bool:
-        return self.forward.is_identity()
-
-    def abelianization_matrix(self) -> IntMatrix:
-        return self.forward.abelianization_matrix()
-
-    def __repr__(self) -> str:
-        return f"Automorphism({self.forward!r})"
-
-    def __str__(self) -> str:
-        return format_endomorphism(self.forward)
 
 
 class GeneratorTable:
@@ -239,8 +203,11 @@ class GeneratorTable:
     ``(k, reduced image)`` entries of the generators it moves, k 0-based
     and increasing.  Letter ``+i`` names it and ``-i`` its inverse; a
     letter sequence evaluates to the product, the rightmost acting first.
-    The folds of ``i -i``, then ``-i i``, must fix every generator either
-    direction moves, else NotInverseError names the first that one fails.
+    The fold of ``i -i`` must fix every generator either direction
+    moves, else NotInverseError names the first it does not.  One fold
+    is enough: forward o backward = id makes forward onto, and a free
+    group of finite rank is Hopfian, so forward is an automorphism and
+    backward is its inverse.
     """
 
     __slots__ = ("rank", "moves")
@@ -251,44 +218,35 @@ class GeneratorTable:
         for i, (forward, backward) in enumerate(pairs, 1):
             self.moves[i] = forward
             self.moves[-i] = backward
-            moved = sorted({k for k, _ in forward + backward})
-            for letters, name in (
-                ((i, -i), "forward o backward"),
-                ((-i, i), "backward o forward"),
-            ):
-                images = fold(WordImages(rank, DEFAULT_LENGTH_CAP), self.moves, letters).pos
-                for k in moved:
-                    if images[k] != (k + 1,):
-                        raise NotInverseError(
-                            f"{name} does not fix generator {k + 1}", generator=k + 1
-                        )
+            images = fold(WordImages(rank, DEFAULT_LENGTH_CAP), self.moves, (i, -i)).pos
+            for k in sorted({k for k, _ in forward + backward}):
+                if images[k] != (k + 1,):
+                    raise NotInverseError(
+                        f"forward o backward does not fix generator {k + 1}", generator=k + 1
+                    )
 
-    def endomorphism(
-        self, letters: Sequence[int], cap: int = DEFAULT_LENGTH_CAP
-    ) -> Endomorphism:
-        """The product of the named generators.
+    def automorphism(
+        self, letters: tuple[int, ...], cap: int = DEFAULT_LENGTH_CAP
+    ) -> Automorphism:
+        """The product of the named generators, the word ``letters`` over
+        this table.
 
         ResourceLimitError if an image grows past ``cap`` letters at any
         step.
         """
         images = fold(WordImages(self.rank, cap), self.moves, letters)
-        return Endomorphism._adopt(self.rank, images.pos)
-
-    def automorphism(self, letters: tuple[int, ...]) -> Automorphism:
-        """The product as an automorphism, the word ``letters`` over this table."""
-        a = object.__new__(Automorphism)
+        a = Automorphism._adopt(self.rank, images.pos)
         a.table = self
         a.letters = letters
-        a.forward = self.endomorphism(letters)
-        a._backward = None
         return a
 
 
 def format_endomorphism(e: Endomorphism) -> str:
-    """One ``name -> image`` line per generator, in the word grammar."""
+    """One ``name -> image`` line per generator, each word written as
+    ``FreeWord.__str__`` writes it: in the a/b grammar at even rank, as
+    signed integers at odd rank."""
     return "\n".join(
-        f"{format_word(FreeWord.generator(e.rank, k))} -> {format_word(image)}"
-        for k, image in enumerate(e.images, 1)
+        f"{FreeWord.generator(e.rank, k)} -> {image}" for k, image in enumerate(e.images, 1)
     )
 
 
@@ -297,8 +255,8 @@ def parse_endomorphism(text: str, rank: int) -> Endomorphism:
 
     Generators missing from the text are fixed.  An error's position is
     its character offset in ``text``: the bad token's, or for a line
-    with no ``->`` or a bad left side, the start of the line's first
-    token.
+    with no ``->``, a bad left side or a generator an earlier line
+    already maps, the start of the line's first token.
     """
     images: dict[int, FreeWord] = {}
     end = 0
@@ -314,6 +272,10 @@ def parse_endomorphism(text: str, rank: int) -> Endomorphism:
         if len(source.letters) != 1 or source.letters[0] < 0:
             raise WordSyntaxError(
                 f"left side of line {lineno} must be a single generator", first
+            )
+        if source.letters[0] in images:
+            raise WordSyntaxError(
+                f"line {lineno} maps {left.strip()}, which an earlier line maps", first
             )
         images[source.letters[0]] = _parse_at(right, start + len(left) + 2, rank)
     return Endomorphism.from_image_map(rank, images)

@@ -154,8 +154,8 @@ def check_omega_alphabet(ctx: GenusContext) -> VerificationReport:
     """Positivity verdicts for every twist and its inverse at this genus.
 
     Expected pattern: t_1, t_{2g+1} and the inverse even twists are
-    positive; everything else (including both directions of the interior
-    odd twists) is not.  At genus 1 there is no interior odd twist and
+    positive; everything else (including the interior odd twists and
+    their inverses) is not.  At genus 1 there is no interior odd twist and
     the three positive maps are the classical Sturmian ones.
     """
     g = ctx.g
@@ -163,7 +163,7 @@ def check_omega_alphabet(ctx: GenusContext) -> VerificationReport:
     checks = []
     for i in range(1, 2 * g + 2):
         t = twist_automorphism(ctx, i)
-        for code, e, side in ((i, t.forward, ""), (-i, t.backward, "-inverse")):
+        for code, e, side in ((i, t, ""), (-i, t.inverse(), "-inverse")):
             expected = code in positive_codes
             observed = preserves_positive_monoid(e)
             checks.append(

@@ -369,7 +369,7 @@ def verify_kernel_generators() -> VerificationReport:
         equality_check(
             "sp4.kernel.full-twist-acts-trivially",
             "the full twist acts as the identity on F_4",
-            full_twist_action.forward,
+            full_twist_action,
             Endomorphism.identity(4),
         )
     )
@@ -380,25 +380,25 @@ def verify_kernel_generators() -> VerificationReport:
             condition_check(
                 "sp4.kernel.alpha-square-fixes-a1",
                 "the alpha^2 action fixes a1",
-                act.forward.fixes(1),
-                witness=str(act.forward.images[0]),
+                act.fixes(1),
+                witness=str(act.images[0]),
             ),
             condition_check(
                 "sp4.kernel.alpha-square-fixes-b1",
                 "the alpha^2 action fixes b1",
-                act.forward.fixes(3),
-                witness=str(act.forward.images[2]),
+                act.fixes(3),
+                witness=str(act.images[2]),
             ),
             equality_check(
                 "sp4.kernel.alpha-square-image-a2",
                 "alpha^2 action on a2 matches the recorded conjugate",
-                act.forward.images[1],
+                act.images[1],
                 reference[2],
             ),
             equality_check(
                 "sp4.kernel.alpha-square-image-b2",
                 "alpha^2 action on b2 matches the recorded conjugate",
-                act.forward.images[3],
+                act.images[3],
                 reference[4],
             ),
             condition_check(
@@ -410,7 +410,7 @@ def verify_kernel_generators() -> VerificationReport:
                 "sp4.kernel.alpha-square-non-inner",
                 "fixing a1 and b1 while acting non-trivially certifies a"
                 " non-inner automorphism (the centralizer of {a1, b1} is trivial)",
-                act.forward.fixes(1) and act.forward.fixes(3) and not act.is_identity(),
+                act.fixes(1) and act.fixes(3) and not act.is_identity(),
             ),
         ]
     )

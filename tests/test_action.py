@@ -54,8 +54,8 @@ def test_twist_images_match_their_defining_formulas():
             t = twist_automorphism(ctx, index)
             moved = twist_formula(ctx, index)
             # everything not named is fixed
-            assert t.forward.images == tuple(moved.get(x, (x,))[0] for x in basis)
-            assert t.backward.images == tuple(moved.get(x, (x, x))[1] for x in basis)
+            assert t.images == tuple(moved.get(x, (x,))[0] for x in basis)
+            assert t.inverse().images == tuple(moved.get(x, (x, x))[1] for x in basis)
     with pytest.raises(MalformedWordError):
         twist_automorphism(GenusContext(2), 6)
 

@@ -39,7 +39,7 @@ def dense_word_composite(generator, rank, letters):
     out = Endomorphism.identity(rank)
     for x in letters:
         gen = generator(abs(x))
-        out = out * (gen.forward if x > 0 else gen.backward)
+        out = out * (gen if x > 0 else gen.inverse())
     return out
 
 
@@ -67,8 +67,8 @@ def test_twist_fold_matches_dense_composition(g):
     for _ in range(40):
         braid = random_braid(rng, ctx.strands, rng.randrange(25))
         action = braid_automorphism(ctx, braid)
-        assert action.forward == dense_word_composite(generator, ctx.rank, braid.letters)
-        assert action.backward == dense_word_composite(
+        assert action == dense_word_composite(generator, ctx.rank, braid.letters)
+        assert action.inverse() == dense_word_composite(
             generator, ctx.rank, braid.inverse().letters
         )
         assert (action * action.inverse()).is_identity()
@@ -81,7 +81,7 @@ def test_artin_fold_matches_dense_composition(strands):
     for _ in range(40):
         braid = random_braid(rng, strands, rng.randrange(25))
         action = artin_action(braid)
-        assert action.forward == dense_word_composite(generator, strands, braid.letters)
+        assert action == dense_word_composite(generator, strands, braid.letters)
         assert action.inverse() == artin_action(braid.inverse())
 
 
@@ -112,9 +112,9 @@ def test_fold_cap_trips_mid_fold():
     # t1^4 t1^-4 is the identity, but b1 -> a1^4 b1 on the way.
     table = twist_table(2)
     letters = (1,) * 4 + (-1,) * 4
-    assert table.endomorphism(letters, cap=5).is_identity()
+    assert table.automorphism(letters, cap=5).is_identity()
     with pytest.raises(ResourceLimitError):
-        table.endomorphism(letters, cap=4)
+        table.automorphism(letters, cap=4)
 
 
 def test_deferred_inverse_of_a_long_power():
@@ -147,7 +147,7 @@ def test_artin_fold_reads_images_the_previous_letter_installed(inversions):
     table = _artin_table(4)
     generator = lambda i: artin_generator(4, i)
     for n in range(len(letters) + 1):
-        assert table.endomorphism(letters[:n]) == dense_word_composite(generator, 4, letters[:n])
+        assert table.automorphism(letters[:n]) == dense_word_composite(generator, 4, letters[:n])
     assert inversions
 
 
@@ -162,7 +162,7 @@ def test_folded_endomorphism_applies_like_eagerly_inverted_images(g):
         letters += [rng.choice((1, -1)) * rng.randrange(1, ctx.rank + 1) for _ in range(9)]
         word = FreeWord(ctx.rank, letters)
         assert any(x < 0 for x in word.letters)
-        e = twist_table(g).endomorphism(braid.letters)
+        e = twist_table(g).automorphism(braid.letters)
         pos = [w.letters for w in e.images]
         neg = [w.inverse().letters for w in e.images]
         eager = _kernels.substitute(pos, neg, word.letters, DEFAULT_LENGTH_CAP)

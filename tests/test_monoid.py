@@ -11,11 +11,11 @@ from braidact.monoid import OmegaWord, format_omega, omega_normal_form, parse_om
 
 def test_positivity_of_individual_twists():
     ctx = GenusContext(2)
-    assert monoid.preserves_positive_monoid(twist_automorphism(ctx, 1).forward)
-    assert monoid.preserves_positive_monoid(twist_automorphism(ctx, 2).backward)
-    assert not monoid.preserves_positive_monoid(twist_automorphism(ctx, 3).forward)
-    assert not monoid.preserves_positive_monoid(twist_automorphism(ctx, 3).backward)
-    assert monoid.preserves_positive_monoid(twist_automorphism(ctx, 5).forward)
+    assert monoid.preserves_positive_monoid(twist_automorphism(ctx, 1))
+    assert monoid.preserves_positive_monoid(twist_automorphism(ctx, 2).inverse())
+    assert not monoid.preserves_positive_monoid(twist_automorphism(ctx, 3))
+    assert not monoid.preserves_positive_monoid(twist_automorphism(ctx, 3).inverse())
+    assert monoid.preserves_positive_monoid(twist_automorphism(ctx, 5))
 
 
 def test_alphabet_report_at_small_genera():
@@ -96,7 +96,7 @@ def test_normal_form_uniqueness_at_genus_two():
 def test_positivity_is_closed_under_composition():
     ctx = GenusContext(2)
     for combo in itertools.product(monoid.omega_alphabet(2), repeat=3):
-        e = OmegaWord(2, combo).automorphism().forward
+        e = OmegaWord(2, combo).automorphism()
         assert monoid.preserves_positive_monoid(e)
 
 
@@ -226,7 +226,7 @@ def test_normal_forms_match_a_sort_of_every_word_under_a_collision(monkeypatch):
 def test_ball_trips_the_cap_on_the_first_word_whose_fold_does(g, cap):
     def trips(word):
         try:
-            twist_table(g).endomorphism(word.letters, cap)
+            twist_table(g).automorphism(word.letters, cap)
         except ResourceLimitError:
             return True
         return False

@@ -154,7 +154,7 @@ def test_gamma17_jump_witness_spells_both_braids():
 
 def test_alpha_square_action_matches_the_recorded_automorphism():
     act = sp4.alpha_square_action()
-    assert act.forward.fixes(1) and act.forward.fixes(3)
+    assert act.fixes(1) and act.fixes(3)
     assert not act.is_identity()
     report = sp4.verify_kernel_generators()
     by_id = {c.check_id: c.status for c in report.checks}

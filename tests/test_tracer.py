@@ -16,11 +16,14 @@ SCRIPT = """
 import sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 from tracer import Tracer, install
-from braidact import braids
+from braidact import FreeWord, GenusContext, braids, twist_automorphism
 tracer = Tracer()
 install(tracer)
 assert braids.braids_equal(braids.BraidWord(3, (1, 2, 1)), braids.BraidWord(3, (2, 1, 2)))
 print(" ".join(sorted(tracer.totals())))
+applied = tracer.totals().get("endo.apply", {}).get("calls", 0)
+twist_automorphism(GenusContext(2), 1).apply(FreeWord(4, (3,)))
+print(tracer.totals()["endo.apply"]["calls"] - applied)
 """
 
 
@@ -32,6 +35,9 @@ def test_benchmark_tracer_installs_on_the_package():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    traced = proc.stdout.split()
+    names, applied = proc.stdout.splitlines()
+    traced = names.split()
     assert "braids.braids_equal" in traced
     assert "kernels.substitute" in traced
+    # an automorphism applies through the one traced Endomorphism.apply
+    assert applied == "1"
