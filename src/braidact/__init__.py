@@ -59,7 +59,7 @@ from .symplectic import (
     symplectic_inverse,
     verify_symplectic_generators,
 )
-from .words import FreeWord, Letter, format_word, parse_word, reduce_word
+from .words import FreeWord, format_word, parse_word
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "FreeWord",
     "GenusContext",
     "IntMatrix",
-    "Letter",
     "MalformedWordError",
     "NonUnimodularError",
     "NotInverseError",
@@ -106,7 +105,6 @@ __all__ = [
     "parse_braid",
     "parse_endomorphism",
     "parse_word",
-    "reduce_word",
     "sl2_matrices",
     "standard_form",
     "sturmian_g1",

@@ -21,10 +21,9 @@ Note ``==`` on BraidWord is structural (same reduced letters); use
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from . import _kernels
-from ._value import Value
+from ._value import GroupWord
 from .errors import MalformedWordError, StrandMismatchError, WordSyntaxError
 from .endo import Automorphism, GeneratorTable
 
@@ -36,62 +35,20 @@ def _in_range(letters: tuple[int, ...], strands: int) -> bool:
     )
 
 
-class BraidWord(Value):
+class BraidWord(GroupWord):
     """A word in the braid group B_strands, stored freely reduced."""
 
     __slots__ = ("strands", "letters")
+    _mismatch = (StrandMismatchError, "cannot concatenate braids on {} and {} strands")
 
-    def __init__(self, strands: int, letters: Iterable[int] = ()):
+    @staticmethod
+    def _checked(strands: int, raw: tuple[int, ...]) -> tuple[int, ...]:
         if strands < 2:
             raise MalformedWordError(f"need at least 2 strands, got {strands}")
-        raw = tuple(map(int, letters))
         if not _in_range(raw, strands):
             bad = next(x for x in raw if x == 0 or abs(x) >= strands)
             raise MalformedWordError(f"crossing {bad} is out of range for {strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", _kernels.reduce_letters(raw))
-
-    @classmethod
-    def _wrap(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":
-        b = object.__new__(cls)
-        object.__setattr__(b, "strands", strands)
-        object.__setattr__(b, "letters", letters)
-        return b
-
-    @classmethod
-    def identity(cls, strands: int) -> "BraidWord":
-        return cls(strands)
-
-    @classmethod
-    def generator(cls, strands: int, index: int, sign: int = 1) -> "BraidWord":
-        return cls(strands, (index * sign,))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if not isinstance(other, BraidWord):
-            return NotImplemented
-        if self.strands != other.strands:
-            raise StrandMismatchError(
-                f"cannot concatenate braids on {self.strands} and {other.strands} strands"
-            )
-        return BraidWord._wrap(
-            self.strands, _kernels.concat_reduced(self.letters, other.letters)
-        )
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord._wrap(self.strands, _kernels.invert_reduced(self.letters))
-
-    def __invert__(self) -> "BraidWord":
-        return self.inverse()
-
-    def __pow__(self, exponent: int) -> "BraidWord":
-        base = self if exponent >= 0 else self.inverse()
-        return BraidWord._wrap(self.strands, _kernels.reduce_letters(base.letters * abs(exponent)))
+        return _kernels.reduce_letters(raw)
 
     def conjugated_by(self, c: "BraidWord") -> "BraidWord":
         """c * self * c^-1."""
@@ -99,9 +56,6 @@ class BraidWord(Value):
 
     def __str__(self) -> str:
         return format_braid(self)
-
-    def __repr__(self) -> str:
-        return f"BraidWord({self.strands}, {self.letters!r})"
 
 
 def _artin_generator(index: int) -> tuple[tuple, tuple]:

@@ -179,15 +179,20 @@ class Automorphism(Endomorphism):
 
     def __mul__(self, other: Endomorphism) -> Endomorphism:
         """The concatenated letters over a shared table, not freely reduced
-        (the folded images decide equality); else the word ``1 2`` over a
-        table of the two factors.  A product with a plain endomorphism is
-        the composite of images."""
+        (the folded images decide equality); else the other factor if one
+        has no letters, so products stay on a shared table; else the word
+        ``1 2`` over a table of the two factors.  A product with a plain
+        endomorphism is the composite of images."""
         if not isinstance(other, Automorphism):
             return super().__mul__(other)
         if self.table is other.table:
             return self.table.automorphism(self.letters + other.letters)
         if self.rank != other.rank:
             raise RankMismatchError(f"cannot compose ranks {self.rank} and {other.rank}")
+        if not self.letters:
+            return other
+        if not other.letters:
+            return self
         pairs = [(moved_words(a._pos), moved_words(a.inverse()._pos)) for a in (self, other)]
         return GeneratorTable(self.rank, pairs).automorphism((1, 2))
 

@@ -36,7 +36,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from ._value import Value
+from ._value import Word
 from .action import GenusContext, twist_automorphism, twist_table
 from .braids import BraidWord
 from .endo import DEFAULT_LENGTH_CAP, Automorphism, Endomorphism
@@ -63,44 +63,20 @@ def _is_omega_letter(x: int, g: int) -> bool:
     return x == 1 or x == 2 * g + 1 or (x < 0 and x % 2 == 0 and -x <= 2 * g)
 
 
-class OmegaWord(Value):
+class OmegaWord(Word):
     """A word over the positivity-preserving twist alphabet (no reduction)."""
 
     __slots__ = ("g", "letters")
 
-    def __init__(self, g: int, letters: Iterable[int] = ()):
+    @staticmethod
+    def _checked(g: int, raw: tuple[int, ...]) -> tuple[int, ...]:
         _check_genus(g)
-        raw = tuple(map(int, letters))
         for x in raw:
             if not _is_omega_letter(x, g):
                 raise MalformedWordError(
                     f"letter {x} is not in the positivity alphabet at genus {g}"
                 )
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "letters", raw)
-
-    @classmethod
-    def _wrap(cls, g: int, letters: tuple[int, ...]) -> "OmegaWord":
-        """Internal: adopt letters already drawn from ``omega_alphabet(g)``."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "g", g)
-        object.__setattr__(w, "letters", letters)
-        return w
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __mul__(self, other: "OmegaWord") -> "OmegaWord":
-        if not isinstance(other, OmegaWord):
-            return NotImplemented
-        if self.g != other.g:
-            raise MalformedWordError(
-                f"cannot concatenate omega words of genera {self.g} and {other.g}"
-            )
-        return OmegaWord(self.g, self.letters + other.letters)
+        return raw
 
     def automorphism(self) -> Automorphism:
         """The automorphism of F_2g this word realizes (rightmost letter first)."""
@@ -112,9 +88,6 @@ class OmegaWord(Value):
 
     def __str__(self) -> str:
         return format_omega(self)
-
-    def __repr__(self) -> str:
-        return f"OmegaWord({self.g}, {self.letters!r})"
 
 
 def parse_omega(text: str, g: int) -> OmegaWord:
@@ -336,6 +309,12 @@ def verify_normal_form_sweep(ctx: GenusContext, max_len: int) -> VerificationRep
     return VerificationReport(f"omega-normal-form(g={ctx.g})", checks)
 
 
+def _times(m: tuple, x: tuple) -> tuple:
+    """The product of two 2x2 matrices given as row-major 4-tuples."""
+    return (m[0] * x[0] + m[1] * x[2], m[0] * x[1] + m[1] * x[3],
+            m[2] * x[0] + m[3] * x[2], m[2] * x[1] + m[3] * x[3])
+
+
 def free_monoid_oracle(max_len: int, distinct_len: int = 8) -> VerificationReport:
     """Exhaustive freeness evidence for the monoid on the two genus-1 matrices.
 
@@ -348,16 +327,12 @@ def free_monoid_oracle(max_len: int, distinct_len: int = 8) -> VerificationRepor
     a, b = (m.rows[0] + m.rows[1] for m in sl2_matrices())
     identity = (1, 0, 0, 1)
 
-    def times(m, x):  # 2x2 matrices as row-major tuples
-        return (m[0] * x[0] + m[1] * x[2], m[0] * x[1] + m[1] * x[3],
-                m[2] * x[0] + m[3] * x[2], m[2] * x[1] + m[3] * x[3])
-
     total = identity_hits = distinct_total = 0
     seen = set()
     frontier = [a, b]
     for length in range(1, max(max_len, distinct_len) + 1):
         if length > 1:
-            frontier = [times(m, x) for m in frontier for x in (a, b)]
+            frontier = [_times(m, x) for m in frontier for x in (a, b)]
         if length <= max_len:
             total += len(frontier)
             identity_hits += frontier.count(identity)

@@ -79,6 +79,16 @@ def test_compose_convention_right_acts_first():
     assert Automorphism.identity(2) * t1 == t1
 
 
+def test_a_factor_with_no_letters_keeps_the_other_factors_table():
+    ctx = GenusContext(2)
+    t = twist_automorphism(ctx, 1)
+    for product in (Automorphism.identity(4) * t, t * Automorphism.identity(4)):
+        assert product.table is t.table and product.letters == (1,)
+    assert random_twist_composite(random.Random(SEED), 2, 5).table is twist_table(2)
+    with pytest.raises(RankMismatchError):
+        Automorphism.identity(2) * t
+
+
 def test_cycle_square_at_genus_two():
     ctx = GenusContext(2)
     cycle = Automorphism.identity(4)
@@ -245,7 +255,9 @@ def test_endomorphism_text_roundtrip():
 
 
 def test_odd_rank_maps_are_written_in_signed_integers():
-    assert str(artin_action(BraidWord(3, (1,)))) == "1 -> 1 2 -1\n2 -> 1\n3 -> 3"
+    action = artin_action(BraidWord(3, (1,)))
+    assert str(action) == "1 -> 1 2 -1\n2 -> 1\n3 -> 3"
+    assert parse_endomorphism(str(action), 3) == action
     assert str(Endomorphism.identity(3)) == "1 -> 1\n2 -> 2\n3 -> 3"
 
 

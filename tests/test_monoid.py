@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from braidact import GenusContext, MalformedWordError, WordSyntaxError, twist_automorphism
+from braidact import GenusContext, IntMatrix, MalformedWordError, WordSyntaxError, twist_automorphism
 from braidact import monoid
 from braidact.action import twist_table
 from braidact.errors import BraidactError, ResourceLimitError
@@ -106,6 +107,14 @@ def test_free_monoid_oracle_counts():
     descriptions = " ".join(c.description for c in report.checks)
     assert "2046" in descriptions
     assert "510" in descriptions
+
+
+def test_oracle_product_matches_the_matrix_product():
+    rng = random.Random(0x2B2)
+    for _ in range(200):
+        m, x = (tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(2))
+        product = IntMatrix.from_rows([m[:2], m[2:]]) * IntMatrix.from_rows([x[:2], x[2:]])
+        assert monoid._times(m, x) == product.rows[0] + product.rows[1]
 
 
 def test_free_monoid_oracle_minimal():

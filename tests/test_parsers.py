@@ -16,7 +16,7 @@ from braidact import _kernels
 from braidact.braids import NAMED_B6, BraidWord, parse_braid
 from braidact.errors import MalformedWordError, WordSyntaxError
 from braidact.monoid import OmegaWord, omega_alphabet, parse_omega
-from braidact.words import FreeWord, Letter, parse_word
+from braidact.words import FreeWord, parse_word
 
 # -- references -----------------------------------------------------------
 
@@ -34,7 +34,7 @@ def ref_braid_word(strands, letters=()):
 def ref_free_word(rank, letters=()):
     if rank < 0:
         raise MalformedWordError(f"rank must be >= 0, got {rank}")
-    raw = tuple(x.encode() if isinstance(x, Letter) else int(x) for x in letters)
+    raw = tuple(int(x) for x in letters)
     for x in raw:
         if x == 0 or abs(x) > rank:
             raise MalformedWordError(f"letter {x} is outside the alphabet of rank {rank}")
@@ -74,17 +74,27 @@ def ref_parse_braid(text, strands):
 
 
 _WORD_TOKEN = re.compile(r"([abAB])([1-9][0-9]*)\Z")
+_SIGNED_TOKEN = re.compile(r"(-?)([1-9][0-9]*)\Z")
 
 
 def ref_parse_word(text, rank):
     if not text.strip():
         return ref_free_word(rank)
-    if rank % 2:
-        raise WordSyntaxError(f"the a/b grammar needs an even rank, got {rank}", 0)
     g = rank // 2
     codes = []
     for match in re.finditer(r"\S+", text):
         token = match.group()
+        if rank % 2:
+            m = _SIGNED_TOKEN.match(token)
+            if m is None:
+                raise WordSyntaxError(f"bad token {token!r}", match.start())
+            index = int(m.group(2))
+            if index > rank:
+                raise WordSyntaxError(
+                    f"index {index} in {token!r} exceeds rank {rank}", match.start()
+                )
+            codes.append(-index if m.group(1) else index)
+            continue
         m = _WORD_TOKEN.match(token)
         if m is None:
             raise WordSyntaxError(f"bad token {token!r}", match.start())
@@ -177,6 +187,14 @@ word_texts = texts(
     indexed("abAB", st.integers(1, 4)),
     st.one_of(indexed("abABux", st.integers(0, 9)), indexed("aB", st.just("01")), JUNK),
 )
+signed_word_texts = texts(
+    st.integers(-5, 5).filter(bool).map(str),
+    st.one_of(
+        st.integers(-12, 12).map(str),
+        st.sampled_from(("0", "-0", "+1", "--1", "01", "-01", "1-", "1_0", "\u0663")),
+        JUNK,
+    ),
+)
 omega_texts = texts(
     st.sampled_from(("u1", "u9", "U2", "U4", "U6", "U8")),
     st.one_of(indexed("uUab", st.integers(0, 12)), indexed("uU", st.just("01")), JUNK),
@@ -190,7 +208,10 @@ def test_parse_braid_matches_the_regex_parser(text, strands):
 
 
 @settings(max_examples=200, derandomize=True)
-@given(word_texts, st.sampled_from((8, 8, 8, 8, 6, 4, 2, 1, 0, -2)))
+@given(
+    st.one_of(word_texts, signed_word_texts),
+    st.sampled_from((8, 8, 8, 6, 4, 2, 0, -2, 5, 5, 3, 1, -1)),
+)
 def test_parse_word_matches_the_regex_parser(text, rank):
     assert outcome(parse_word, text, rank) == outcome(ref_parse_word, text, rank)
 
@@ -210,5 +231,3 @@ def test_constructors_match_the_per_letter_checks(letters, size):
     assert outcome(BraidWord, size, letters) == outcome(ref_braid_word, size, letters)
     assert outcome(FreeWord, size, letters) == outcome(ref_free_word, size, letters)
     assert outcome(OmegaWord, size, letters) == outcome(ref_omega_word, size, letters)
-    as_letters = [Letter.decode(x) if x else x for x in letters]
-    assert outcome(FreeWord, size, as_letters) == outcome(ref_free_word, size, as_letters)

@@ -113,7 +113,7 @@ def test_is_symplectic_matches_the_dense_definition():
         answers = set()
         for _ in range(40):
             m = braid_matrix(ctx, random_braid(rng, ctx.strands, rng.randrange(12)))
-            kind = rng.randrange(3)
+            kind = rng.randrange(5)
             if kind == 1:
                 # perturb one entry, which leaves Sp_2g(Z)
                 rows = [list(row) for row in m.rows]
@@ -125,6 +125,15 @@ def test_is_symplectic_matches_the_dense_definition():
                 rows = [[int(r == c) for c in range(2 * g)] for r in range(2 * g)]
                 rows[i][i + g] = 1
                 m = m * IntMatrix.from_rows(rows)
+            elif kind == 3:
+                # right-multiply by diag(I_g, -I_g): M^T J M = -J, and at
+                # even g the determinant is still 1
+                m = m * IntMatrix.from_rows(
+                    [[(1 if r < g else -1) * int(r == c) for c in range(2 * g)] for r in range(2 * g)]
+                )
+            elif kind == 4:
+                # the transpose of a symplectic matrix is symplectic
+                m = m.transpose()
             dense = m.transpose() * j * m == j
             assert is_symplectic(m, g) == dense
             answers.add(dense)

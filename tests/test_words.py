@@ -10,13 +10,11 @@ from braidact import (
     FreeWord,
     GenusContext,
     IntMatrix,
-    Letter,
     MalformedWordError,
     RankMismatchError,
     WordSyntaxError,
     format_word,
     parse_word,
-    reduce_word,
 )
 
 SEED = 0xC0FFEE
@@ -46,7 +44,7 @@ def test_reduce_examples():
 
 
 def test_reduce_is_idempotent_and_validates():
-    w = reduce_word(4, (3, 1, -2, 2, 1))
+    w = FreeWord(4, (3, 1, -2, 2, 1))
     assert FreeWord(4, w.letters) == w
     with pytest.raises(MalformedWordError):
         FreeWord(2, (3,))
@@ -113,11 +111,14 @@ def test_parse_errors_carry_positions():
         parse_word("a1", 3)  # odd rank has no a/b naming
 
 
-def test_letter_roundtrip():
-    assert Letter(3, -1).encode() == -3
-    assert Letter.decode(-3) == Letter(3, -1)
-    with pytest.raises(MalformedWordError):
-        Letter.decode(0)
+def test_odd_rank_words_parse_as_str_writes_them():
+    w = FreeWord(3, (1, -3, 2))
+    assert str(w) == "1 -3 2"
+    assert parse_word(str(w), 3) == w
+    for text, position in (("1 x 2", 2), ("1  +2", 3), ("-1 01", 3), ("2 -4", 2)):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(text, 3)
+        assert exc.value.position == position
 
 
 words_strategy = st.lists(
