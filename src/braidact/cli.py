@@ -53,11 +53,13 @@ MAX_GENUS = 32
 MAX_EQUAL_STRANDS = 256
 
 # `verify monoid` and `verify all` enumerate every omega word of length
-# up to --max-len (the normal-form sweep) and up to min(4, --max-len)
-# (the section), sum (g+2)^k words per ball at g+2 letters, about 3.4 us
-# a word: 1.1 million words (genus 8, --max-len 6) took 3.8 s in 22 MB
-# (2-vCPU x86_64 virtual machine, CPython 3.11).
+# up to --max-len (the normal-form sweep) and up to
+# min(SECTION_MAX_LEN, --max-len) (the section), sum (g+2)^k words per
+# ball at g+2 letters, about 3.4 us a word: 1.1 million words (genus 8,
+# --max-len 6) took 3.8 s in 22 MB (2-vCPU x86_64 virtual machine,
+# CPython 3.11).
 MAX_BALL_WORDS = 2_000_000
+SECTION_MAX_LEN = 4
 
 GENUS_HELP = f"genus g >= 1, at most {MAX_GENUS} (larger exits 3)"
 
@@ -95,7 +97,7 @@ def _ball_words(g: int, max_len: int) -> int:
     if g < 2:
         return 0
     total = 0
-    for length in (max_len, min(4, max_len)):
+    for length in (max_len, min(SECTION_MAX_LEN, max_len)):
         words = 1
         for _ in range(length + 1):
             total += words
@@ -128,7 +130,7 @@ def _run_suite(name: str, ctx: GenusContext, max_len: int, seed: int) -> Verific
         ]
         if ctx.g >= 2:
             reports.append(monoid.verify_normal_form_sweep(ctx, max_len))
-            reports.append(monoid.verify_section(ctx, min(4, max_len)))
+            reports.append(monoid.verify_section(ctx, min(SECTION_MAX_LEN, max_len)))
         return merge_reports("monoid", reports)
     if name == "all":
         return merge_reports(

@@ -19,11 +19,11 @@ act alike, and ``verify_section`` that distinct normal forms act
 distinctly: the monoid is free on its blocks, so lifting normal forms to
 braid crossings sections the braid action on it.  Both read the ball
 from ``omega_ball``, one step per word on top of its prefix.  Its words
-are built from alphabet letters, so they skip the alphabet check that
-``OmegaWord`` makes for other callers.  Their images are positive
-words, so a step concatenates prefix images and never substitutes,
-reduces or inverts; and the sweep appends each word's last letter to
-its prefix's normal form instead of sorting the word.
+are tuples of alphabet letters, not ``OmegaWord`` values, so none is
+checked or built.  Their images are positive words, so a step
+concatenates prefix images and never substitutes, reduces or inverts;
+and it appends the word's last letter to its block's run of the
+prefix's normal form instead of sorting the word.
 
 Omega-word letters reuse the signed-integer convention: ``+k`` is the
 twist t_k, ``-k`` its inverse, so the braid lift is literally the same
@@ -46,14 +46,9 @@ from .symplectic import sl2_matrices
 from .words import token_index
 
 
-def _check_genus(g: int) -> None:
-    if g < 1:
-        raise MalformedWordError(f"genus must be >= 1, got {g}")
-
-
 def omega_alphabet(g: int) -> tuple[int, ...]:
     """The g+2 allowed letters: t_1, t_{2g+1}, and the inverse even twists."""
-    _check_genus(g)
+    GenusContext(g)
     return (1, 2 * g + 1) + tuple(-2 * i for i in range(1, g + 1))
 
 
@@ -70,7 +65,7 @@ class OmegaWord(Word):
 
     @staticmethod
     def _checked(g: int, raw: tuple[int, ...]) -> tuple[int, ...]:
-        _check_genus(g)
+        GenusContext(g)
         for x in raw:
             if not _is_omega_letter(x, g):
                 raise MalformedWordError(
@@ -103,7 +98,8 @@ def parse_omega(text: str, g: int) -> OmegaWord:
         if not index:
             raise WordSyntaxError.at_token(f"bad token {token!r}", text, i)
         code = index if name == "u" else -index
-        _check_genus(g)
+        if not letters:  # so a bad token before it is reported first
+            GenusContext(g)
         if not _is_omega_letter(code, g):
             raise WordSyntaxError.at_token(
                 f"{token!r} is not a positivity-alphabet letter at genus {g}", text, i
@@ -207,82 +203,75 @@ def omega_normal_form(word: OmegaWord) -> OmegaNormalForm:
     return form
 
 
-def omega_words(g: int, max_len: int) -> Iterator[OmegaWord]:
-    """All omega words of length 0..max_len, depth first: each word is
-    followed by all its extensions, so the last shorter word yielded
-    before a word is its prefix.  The letters come from the alphabet, so
-    no word re-checks them."""
+def omega_words(g: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    """The letters of every omega word of length 0..max_len, depth
+    first: each word is followed by all its extensions, so the last
+    shorter word yielded before a word is its prefix."""
     alphabet = omega_alphabet(g)[::-1]
     stack = [()] if max_len >= 0 else []
     while stack:
         letters = stack.pop()
-        yield OmegaWord._wrap(g, letters)
+        yield letters
         if len(letters) < max_len:
             stack.extend(letters + (x,) for x in alphabet)
 
 
 def omega_ball(g: int, max_len: int, cap: int = DEFAULT_LENGTH_CAP) -> Iterator[tuple]:
-    """Every omega word of length <= max_len with its generator images.
+    """Every omega word of length <= max_len as ``(letters, images, runs)``:
+    its letters, its generator images, and its normal form as one run
+    of letters per block (``_blocks``; genus >= 2).
 
-    The images are kept as one tuple per depth, and a word's are its
-    prefix's with the last letter's moved image rebuilt.  That letter's
-    action is positive and so are the prefix's images, so the new image
-    is the concatenation of the prefix images the action names: a step
-    concatenates and never substitutes, reduces or inverts.  The actions
-    are read from ``twist_table(g).moves`` on every call; BraidactError
-    if one is not positive, ResourceLimitError if an image grows past
-    ``cap`` letters.
+    One state, the images and runs, is kept per depth, and a word's is
+    its prefix's with the last letter applied.  That letter's action is
+    positive and so are the prefix's images, so each image it moves is
+    the concatenation of the prefix images the action names: a step
+    concatenates and never substitutes, reduces or inverts.  The letter
+    then joins the end of its block's run, so no word is sorted.  The
+    actions are read from ``twist_table(g).moves`` on every call;
+    BraidactError if one is not positive, ResourceLimitError if an image
+    grows past ``cap`` letters.
     """
+    blocks = _blocks(g)
     moves = twist_table(g).moves
     steps = {}
-    for x in omega_alphabet(g):
+    for x, block in blocks.items():
         for k, action in moves[x]:
             if any(a < 0 for a in action):
                 raise BraidactError(
                     f"omega letter {x} maps generator {k + 1} to a non-positive word"
                 )
-        steps[x] = tuple((k, tuple(a - 1 for a in action)) for k, action in moves[x])
-    depth = [tuple((k,) for k in range(1, 2 * g + 1))] * (max_len + 1)
-    for word in omega_words(g, max_len):
-        letters = word.letters
+        moved = tuple((k, tuple(a - 1 for a in action)) for k, action in moves[x])
+        steps[x] = (moved, max(block - 1, 0))
+    depth = [(tuple((k,) for k in range(1, 2 * g + 1)), ((),) * g)] * (max_len + 1)
+    for letters in omega_words(g, max_len):
         n = len(letters)
         if n:
-            prefix = depth[n - 1]
+            prefix, runs = depth[n - 1]
+            x = letters[-1]
+            moved, run = steps[x]
             images = list(prefix)
-            for k, action in steps[letters[-1]]:
+            for k, action in moved:
                 image = ()
                 for a in action:
                     image += prefix[a]
                 if len(image) > cap:
                     raise ResourceLimitError(cap)
                 images[k] = image
-            depth[n] = tuple(images)
-        yield word, depth[n]
+            runs = list(runs)
+            runs[run] += (x,)
+            depth[n] = (tuple(images), tuple(runs))
+        yield (letters, *depth[n])
 
 
 def _normal_forms(g: int, max_len: int) -> tuple[int, int, dict]:
     """One pass over the ball: the number of words, the number whose
     images differ from the first word's of the same normal form, and
-    each normal form's letters mapped to that first word's images.
-
-    A word's normal form is kept as its runs, one per block, one tuple
-    of runs per depth: the prefix's runs with the last letter appended
-    to its block's run, so no word is sorted.
-    """
-    run_of = {x: max(block - 1, 0) for x, block in _blocks(g).items()}
-    depth = [((),) * g] * (max_len + 1)
+    each normal form's letters mapped to that first word's images."""
     forms: dict[tuple, tuple] = {}
     total = mismatches = 0
-    for word, images in omega_ball(g, max_len):
+    for _, images, runs in omega_ball(g, max_len):
         total += 1
-        letters = word.letters
-        n = len(letters)
-        if n:
-            runs = list(depth[n - 1])
-            x = letters[-1]
-            runs[run_of[x]] += (x,)
-            depth[n] = tuple(runs)
-        mismatches += forms.setdefault(depth[n], images) != images
+        mismatches += forms.setdefault(runs, images) != images
     return total, mismatches, {
         tuple(itertools.chain.from_iterable(runs)): images for runs, images in forms.items()
     }

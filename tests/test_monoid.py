@@ -81,7 +81,8 @@ def test_normal_form_uniqueness_at_genus_two():
     (exhaustively to length 4)."""
     by_form = {}
     by_auto = {}
-    for word in monoid.omega_words(2, 4):
+    for letters in monoid.omega_words(2, 4):
+        word = OmegaWord(2, letters)
         form = omega_normal_form(word)
         key = (form.prefix.letters, form.exponents, form.suffix.letters)
         images = tuple(image.letters for image in word.automorphism().images)
@@ -143,13 +144,30 @@ def test_section_single_letters_at_genus_three():
 
 
 def test_ball_images_match_the_word_automorphisms():
-    """The prefix-shared fold against a fresh fold of every word."""
-    for g, max_len in ((2, 4), (3, 3)):
+    """The prefix-shared fold and runs against a fresh fold and sort of
+    every word."""
+    for g, max_len in ((2, 5), (3, 4), (4, 3)):
         words = 0
-        for word, images in monoid.omega_ball(g, max_len):
+        for letters, images, runs in monoid.omega_ball(g, max_len):
             words += 1
-            assert images == tuple(w.letters for w in word.automorphism().images), word
+            automorphism = twist_table(g).automorphism(letters)
+            assert images == tuple(w.letters for w in automorphism.images), letters
+            assert tuple(itertools.chain.from_iterable(runs)) == monoid._normal_letters(g, letters)
         assert words == sum((g + 2) ** n for n in range(max_len + 1))
+
+
+def test_sweep_builds_no_omega_word(monkeypatch):
+    built = []
+
+    def counted(original):
+        return lambda *args: built.append(args) or original(*args)
+
+    monkeypatch.setattr(OmegaWord, "_wrap", classmethod(counted(OmegaWord._wrap.__func__)))
+    monkeypatch.setattr(OmegaWord, "__init__", counted(OmegaWord.__init__))
+    assert OmegaWord(2, (1,)) == parse_omega("u1", 2) and len(built) == 2
+    built.clear()
+    assert monoid.verify_normal_form_sweep(GenusContext(4), 5).all_passed()
+    assert built == []
 
 
 def test_ball_fold_trips_the_length_cap():
@@ -194,22 +212,21 @@ def test_sweeps_over_no_words_fail():
 def test_generated_omega_words_equal_checked_ones():
     words = list(monoid.omega_words(3, 3))
     assert len(words) == 1 + 5 + 25 + 125
-    for word in words:
-        assert word == OmegaWord(3, word.letters)
-        form = omega_normal_form(word)
-        assert form.reassembled().letters == monoid._normal_letters(3, word.letters)
+    for letters in words:
+        form = omega_normal_form(OmegaWord(3, letters))
+        assert form.reassembled().letters == monoid._normal_letters(3, letters)
     # The checked constructor still rejects a letter outside the alphabet:
     # test_omega_alphabet_letters pins OmegaWord(2, (3,)).
 
 
 def sorted_normal_forms(g, max_len):
-    """The sweep by sorting every word: ``_normal_forms`` keeps each
+    """The sweep by sorting every word: ``omega_ball`` builds each
     word's runs from its prefix instead."""
     forms = {}
     total = mismatches = 0
-    for word, images in monoid.omega_ball(g, max_len):
+    for letters, images, _ in monoid.omega_ball(g, max_len):
         total += 1
-        mismatches += forms.setdefault(monoid._normal_letters(g, word.letters), images) != images
+        mismatches += forms.setdefault(monoid._normal_letters(g, letters), images) != images
     return total, mismatches, forms
 
 
@@ -233,9 +250,9 @@ def test_normal_forms_match_a_sort_of_every_word_under_a_collision(monkeypatch):
 
 @pytest.mark.parametrize("g, cap", [(2, 3), (3, 4)])
 def test_ball_trips_the_cap_on_the_first_word_whose_fold_does(g, cap):
-    def trips(word):
+    def trips(letters):
         try:
-            twist_table(g).automorphism(word.letters, cap)
+            twist_table(g).automorphism(letters, cap)
         except ResourceLimitError:
             return True
         return False
@@ -245,8 +262,8 @@ def test_ball_trips_the_cap_on_the_first_word_whose_fold_does(g, cap):
     assert len(words[first]) > 1
     yielded = []
     with pytest.raises(ResourceLimitError):
-        for word, _ in monoid.omega_ball(g, 4, cap):
-            yielded.append(word)
+        for letters, _, _ in monoid.omega_ball(g, 4, cap):
+            yielded.append(letters)
     assert yielded == words[:first]
 
 
