@@ -120,9 +120,6 @@ class GroupWord(Word):
     def inverse(self):
         return self._wrap(self._size(), _kernels.invert_reduced(self.letters))
 
-    def __invert__(self):
-        return self.inverse()
-
     def __pow__(self, exponent: int):
         base = self if exponent >= 0 else self.inverse()
         return self._wrap(self._size(), _kernels.reduce_letters(base.letters * abs(exponent)))

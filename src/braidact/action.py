@@ -34,7 +34,7 @@ from ._value import Value
 from .braids import BraidWord, artin_relations
 from .endo import Automorphism, Endomorphism, GeneratorTable
 from .errors import MalformedWordError, StrandMismatchError
-from .report import VerificationReport, equality_check
+from .report import VerificationReport, equal, run_checks
 from .words import FreeWord
 
 
@@ -160,16 +160,14 @@ def verify_u_braid_relations(ctx: GenusContext) -> VerificationReport:
     """
     g = ctx.g
     table = twist_table(g)
-    checks = tuple(
-        equality_check(
+    return run_checks(f"relations(g={g})", (
+        (
             f"relations.g{g}.{name}",
             _RELATION_TEXT[name.split(".")[0]].format(*left[:2], g),
-            table.automorphism(left),
-            table.automorphism(right),
+            *equal(table.automorphism(left), table.automorphism(right)),
         )
         for name, _, left, right in artin_relations(ctx.strands)
-    )
-    return VerificationReport(f"relations(g={g})", checks)
+    ))
 
 
 def _cycle_image_closed_form(ctx: GenusContext) -> Endomorphism:
@@ -214,24 +212,20 @@ def verify_center_vanishes(ctx: GenusContext) -> VerificationReport:
     """
     g = ctx.g
     cycle = braid_automorphism(ctx, descending_cycle(ctx))
-    checks = [
-        equality_check(
+    return run_checks(f"center(g={g})", (
+        (
             f"center.g{g}.cycle-closed-form",
             f"descending-cycle action matches its closed form (genus {g})",
-            cycle,
-            _cycle_image_closed_form(ctx),
+            *equal(cycle, _cycle_image_closed_form(ctx)),
         ),
-        equality_check(
+        (
             f"center.g{g}.cycle-square-closed-form",
             f"squared descending-cycle action matches its closed form (genus {g})",
-            cycle * cycle,
-            _cycle_square_closed_form(ctx),
+            *equal(cycle * cycle, _cycle_square_closed_form(ctx)),
         ),
-        equality_check(
+        (
             f"center.g{g}.full-twist-trivial",
             f"the (2g+2)-nd power of the cycle acts as the identity (genus {g})",
-            cycle ** (2 * g + 2),
-            Endomorphism.identity(ctx.rank),
+            *equal(cycle ** (2 * g + 2), Endomorphism.identity(ctx.rank)),
         ),
-    ]
-    return VerificationReport(f"center(g={g})", tuple(checks))
+    ))

@@ -102,9 +102,6 @@ class Endomorphism:
         )
         return FreeWord._wrap(self.rank, letters)
 
-    def __call__(self, word: FreeWord) -> FreeWord:
-        return self.apply(word)
-
     def __mul__(self, other: "Endomorphism") -> "Endomorphism":
         if not isinstance(other, Endomorphism):
             return NotImplemented

@@ -38,10 +38,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from ._value import Word
 from .action import GenusContext, twist_automorphism, twist_table
-from .braids import BraidWord
 from .endo import DEFAULT_LENGTH_CAP, Automorphism, Endomorphism
 from .errors import BraidactError, MalformedWordError, ResourceLimitError, WordSyntaxError
-from .report import VerificationReport, condition_check
+from .report import VerificationReport, run_checks
 from .symplectic import sl2_matrices
 from .words import token_index
 
@@ -76,10 +75,6 @@ class OmegaWord(Word):
     def automorphism(self) -> Automorphism:
         """The automorphism of F_2g this word realizes (rightmost letter first)."""
         return twist_table(self.g).automorphism(self.letters)
-
-    def braid_lift(self) -> BraidWord:
-        """The sectioning braid: same letters read as crossings."""
-        return BraidWord(2 * self.g + 2, self.letters)
 
     def __str__(self) -> str:
         return format_omega(self)
@@ -129,22 +124,20 @@ def check_omega_alphabet(ctx: GenusContext) -> VerificationReport:
     """
     g = ctx.g
     positive_codes = set(omega_alphabet(g))
-    checks = []
+    rows = []
     for i in range(1, 2 * g + 2):
         t = twist_automorphism(ctx, i)
         for code, e, side in ((i, t, ""), (-i, t.inverse(), "-inverse")):
             expected = code in positive_codes
             observed = preserves_positive_monoid(e)
-            checks.append(
-                condition_check(
-                    f"monoid.g{g}.positivity.twist-{i}{side or '-forward'}",
-                    f"twist {i}{' inverse' if side else ''} is"
-                    f"{'' if expected else ' not'} positive (genus {g})",
-                    observed == expected,
-                    witness="\n".join(str(w) for w in e.images),
-                )
-            )
-    return VerificationReport(f"omega-alphabet(g={g})", tuple(checks))
+            rows.append((
+                f"monoid.g{g}.positivity.twist-{i}{side or '-forward'}",
+                f"twist {i}{' inverse' if side else ''} is"
+                f"{'' if expected else ' not'} positive (genus {g})",
+                observed == expected,
+                "\n".join(str(w) for w in e.images),
+            ))
+    return run_checks(f"omega-alphabet(g={g})", rows)
 
 
 class OmegaNormalForm(NamedTuple):
@@ -286,16 +279,15 @@ def verify_normal_form_sweep(ctx: GenusContext, max_len: int) -> VerificationRep
     """Exhaustively confirm that words with the same normal form act alike,
     i.e. the normal form, which lies in the same ball, preserves the map."""
     total, failures, _ = _normal_forms(ctx.g, max_len)
-    checks = (
-        condition_check(
+    return run_checks(f"omega-normal-form(g={ctx.g})", (
+        (
             f"monoid.g{ctx.g}.normal-form-sweep",
             f"block normal form preserves the automorphism on all {total} words"
             f" of length <= {max_len} (genus {ctx.g})",
             total > 0 and failures == 0,
-            witness=_sweep_witness(total, failures),
+            _sweep_witness(total, failures),
         ),
-    )
-    return VerificationReport(f"omega-normal-form(g={ctx.g})", checks)
+    ))
 
 
 def _times(m: tuple, x: tuple) -> tuple:
@@ -330,24 +322,23 @@ def free_monoid_oracle(max_len: int, distinct_len: int = 8) -> VerificationRepor
             seen.update(frontier)
     collisions = distinct_total - len(seen)
 
-    checks = (
-        condition_check(
+    return run_checks("free-monoid-oracle", (
+        (
             "monoid.free-oracle.no-identity",
             f"all {total} nonempty products of length <= {max_len} differ from"
             " the identity matrix",
             identity_hits == 0,
-            witness=f"{identity_hits} identity products",
+            f"{identity_hits} identity products",
         ),
-        condition_check(
+        (
             "monoid.free-oracle.distinct",
             f"all {distinct_total} products of length <= {distinct_len} are"
             " pairwise distinct",
             distinct_total > 0 and collisions == 0,
             # Comparing no products proves nothing, so it fails too.
-            witness=f"{collisions} collisions" if distinct_total else "no products compared",
+            f"{collisions} collisions" if distinct_total else "no products compared",
         ),
-    )
-    return VerificationReport("free-monoid-oracle", checks)
+    ))
 
 
 def verify_section(ctx: GenusContext, max_len: int) -> VerificationReport:
@@ -366,13 +357,12 @@ def verify_section(ctx: GenusContext, max_len: int) -> VerificationReport:
         alike.setdefault(images, []).append(form)
     collisions = [" = ".join(format_omega(OmegaWord(g, f)) or "1" for f in fs)
                   for fs in alike.values() if len(fs) > 1]
-    checks = (
-        condition_check(
+    return run_checks(f"omega-section(g={g})", (
+        (
             f"monoid.g{g}.section",
             f"the {len(forms)} normal forms of all {total} words of length"
             f" <= {max_len} give distinct automorphisms (genus {g})",
             total > 0 and not collisions,
-            witness=_sweep_witness(total, len(collisions)) + "".join(f"; {c}" for c in collisions),
+            _sweep_witness(total, len(collisions)) + "".join(f"; {c}" for c in collisions),
         ),
-    )
-    return VerificationReport(f"omega-section(g={g})", checks)
+    ))

@@ -1,4 +1,18 @@
-"""Structured pass/fail records for named verification checks."""
+"""Structured pass/fail records for named verification checks.
+
+Every suite hands its checks to ``run_checks`` as rows
+
+    (check_id, description, holds, left=None, right="", status=PASS)
+
+and ``run_checks`` is the one place that turns rows into ``Check``
+values and a ``VerificationReport``.  A row that holds gets its
+``status`` (``PASS``, or ``QUOTIENT_PASS`` for a check made only in a
+quotient).  A row that fails gets ``FAIL`` and one witness rule: the two
+sides ``{"left": str(left), "right": str(right)}`` when ``left`` is not
+None, and no witness otherwise.  ``str`` runs only on failure, so a
+passing row never formats its sides.  An equality row passes
+``*equal(left, right)``.
+"""
 
 from __future__ import annotations
 
@@ -42,7 +56,9 @@ class VerificationReport(NamedTuple):
     checks: tuple[Check, ...] = ()
 
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True iff there is at least one check and every check passed:
+        a report over no checks proves nothing."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def failures(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -61,30 +77,25 @@ class VerificationReport(NamedTuple):
         return f"{self.suite}: {done}/{len(self.checks)} checks passed"
 
 
+def _check(
+    check_id: str, description: str, holds: bool, left=None, right="", status: str = PASS
+) -> Check:
+    if holds:
+        return Check(check_id, description, status)
+    witness = None if left is None else {"left": str(left), "right": str(right)}
+    return Check(check_id, description, FAIL, witness)
+
+
+def run_checks(suite: str, rows: Iterable[tuple]) -> VerificationReport:
+    """The report of ``suite``: one check per row, in order."""
+    return VerificationReport(suite, tuple(_check(*row) for row in rows))
+
+
+def equal(left, right) -> tuple:
+    """The ``(holds, left, right)`` part of a row comparing two values."""
+    return left == right, left, right
+
+
 def merge_reports(suite: str, reports: Iterable[VerificationReport]) -> VerificationReport:
     """One report holding the checks of ``reports``, in order."""
     return VerificationReport(suite, tuple(c for r in reports for c in r.checks))
-
-
-def equality_check(
-    check_id: str,
-    description: str,
-    left,
-    right,
-    quotient_level: bool = False,
-) -> Check:
-    """Compare two values, attaching both sides as the witness on failure."""
-    if left == right:
-        return Check(check_id, description, QUOTIENT_PASS if quotient_level else PASS)
-    return Check(
-        check_id,
-        description,
-        FAIL,
-        witness={"left": str(left), "right": str(right)},
-    )
-
-
-def condition_check(check_id: str, description: str, holds: bool, witness: str = "") -> Check:
-    if holds:
-        return Check(check_id, description, PASS)
-    return Check(check_id, description, FAIL, witness={"left": witness, "right": ""} if witness else None)

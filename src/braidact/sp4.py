@@ -26,7 +26,10 @@ Every identity is a row of a table, and each oracle has one evaluator.
 the exact braid identities as (name, description, left, right), decided
 by ``braids_equal``.  The braids that must die in Sp_4(Z) are (name,
 description, braid) rows of the kernel and gamma17 suites, decided by
-their abelianized image being the identity matrix.  Matrix words go
+their abelianized image being the identity matrix; a gamma17 death
+passes only at quotient level (``QUOTIENT_PASS``).  Each suite turns its
+tables into check rows and hands them to ``report.run_checks``, which
+applies the pass and witness rules.  Matrix words go
 through the one fold of ``symplectic``: the golden matrices (M1..M5 of
 the crossings, MDelta of the half twist), checked symplectic once, form
 one fold table.  ``BEHR_WORDS`` spells each Behr generator once over
@@ -49,7 +52,7 @@ from .braids import NAMED_B6, BraidWord, artin_relations, braids_equal
 from .endo import Automorphism, Endomorphism
 from .errors import BraidactError
 from .matrices import IntMatrix
-from .report import FAIL, PASS, Check, VerificationReport, condition_check, equality_check, merge_reports
+from .report import PASS, QUOTIENT_PASS, VerificationReport, equal, merge_reports, run_checks
 from .symplectic import braid_matrix, column_table, fold_matrix, is_symplectic
 from .words import FreeWord
 
@@ -98,15 +101,6 @@ class BehrGenerators(NamedTuple):
     x_alpha: IntMatrix
     w_alpha: IntMatrix
     w_beta: IntMatrix
-
-
-class SpecialBraids(NamedTuple):
-    """The 6-strand braids generating the kernel together with the full twist."""
-
-    Delta: BraidWord
-    alpha: BraidWord
-    beta: BraidWord
-    gamma: BraidWord
 
 
 class GammaElements(NamedTuple):
@@ -171,10 +165,6 @@ def golden_product(letters: Sequence[int]) -> IntMatrix:
     return fold_matrix(_golden_table(), 4, letters)
 
 
-def special_braids() -> SpecialBraids:
-    return SpecialBraids(Delta=DELTA, alpha=ALPHA, beta=BETA, gamma=GAMMA)
-
-
 def lift_table() -> dict[str, BraidWord]:
     """Braid lifts of Behr's generators (abelianizing a lift recovers its matrix)."""
     return {
@@ -210,56 +200,38 @@ def gamma_elements() -> GammaElements:
 def verify_surjectivity_witnesses() -> VerificationReport:
     """Behr's six generators as words in the crossing matrices."""
     xg = behr_generators()._asdict()
-    checks = tuple(
-        equality_check(
-            f"sp4.witness.{name}", f"{name} = {spelling}", xg[name], golden_product(word)
-        )
+    return run_checks("sp4-surjectivity", (
+        (f"sp4.witness.{name}", f"{name} = {spelling}", *equal(xg[name], golden_product(word)))
         for name, (spelling, word) in BEHR_WORDS.items()
-    )
-    return VerificationReport("sp4-surjectivity", checks)
+    ))
 
 
 def verify_lift_consistency() -> VerificationReport:
     """Each Behr generator equals the abelianized image of its braid lift."""
     xg = behr_generators()._asdict()
-    checks = []
+    rows = []
     for name, braid in lift_table().items():
-        checks.append(
-            equality_check(
-                f"sp4.lift.{name}",
-                f"abelianized lift of {name} reproduces the matrix",
-                braid_matrix(G2, braid),
-                xg[name],
-            )
-        )
-        checks.append(
-            condition_check(
-                f"sp4.lift.{name}.symplectic",
-                f"{name} satisfies M^T J M = J",
-                is_symplectic(xg[name], 2),
-                witness=str(xg[name]),
-            )
-        )
-    return VerificationReport("sp4-lifts", tuple(checks))
+        rows.append((f"sp4.lift.{name}", f"abelianized lift of {name} reproduces the matrix",
+                     *equal(braid_matrix(G2, braid), xg[name])))
+        rows.append((f"sp4.lift.{name}.symplectic", f"{name} satisfies M^T J M = J",
+                     is_symplectic(xg[name], 2), xg[name]))
+    return run_checks("sp4-lifts", rows)
 
 
-def _identity_checks(rows: Sequence[tuple[str, str, BraidWord, BraidWord]]) -> list[Check]:
+def _identity_rows(rows: Sequence[tuple[str, str, BraidWord, BraidWord]]) -> list[tuple]:
     """Each (name, description, left, right) row, decided exactly by ``braids_equal``."""
     return [
-        Check(name, description, PASS)
-        if braids_equal(left, right)
-        else Check(name, description, FAIL, witness={"left": str(left), "right": str(right)})
+        (name, description, braids_equal(left, right), left, right)
         for name, description, left, right in rows
     ]
 
 
-def _death_checks(
-    rows: Sequence[tuple[str, str, BraidWord]], quotient_level: bool = False
-) -> list[Check]:
-    """Each (name, description, braid) row: the braid abelianizes to the identity."""
+def _death_rows(rows: Sequence[tuple[str, str, BraidWord]], status: str) -> list[tuple]:
+    """Each (name, description, braid) row: the braid abelianizes to the
+    identity, a pass reported with ``status``."""
     identity4 = IntMatrix.identity(4)
     return [
-        equality_check(name, description, braid_matrix(G2, braid), identity4, quotient_level)
+        (name, description, *equal(braid_matrix(G2, braid), identity4), status)
         for name, description, braid in rows
     ]
 
@@ -312,17 +284,13 @@ def gamma_identities() -> tuple[tuple[str, str, BraidWord, BraidWord], ...]:
 def verify_gamma_identities() -> VerificationReport:
     """The rows of ``gamma_identities``, all decided exactly by the
     Artin-action word problem, and the scope note on the other lifts."""
-    checks = _identity_checks(gamma_identities())
-    checks.append(
-        condition_check(
-            "sp4.gamma.trivial-lifts-scope-note",
-            "the other eleven lifted relators reduce to the trivial braid;"
-            " their source words are not recorded here, so they are out of"
-            " scope for re-derivation",
-            True,
-        )
-    )
-    return VerificationReport("sp4-gamma-identities", tuple(checks))
+    return run_checks("sp4-gamma-identities", _identity_rows(gamma_identities()) + [(
+        "sp4.gamma.trivial-lifts-scope-note",
+        "the other eleven lifted relators reduce to the trivial braid;"
+        " their source words are not recorded here, so they are out of"
+        " scope for re-derivation",
+        True,
+    )])
 
 
 def alpha_square_action() -> Automorphism:
@@ -358,63 +326,31 @@ def verify_kernel_generators() -> VerificationReport:
         "alpha-beta": ALPHA * BETA,
         "alpha-gamma-square": (ALPHA * GAMMA) ** 2,
     }
-    checks = _death_checks(
-        [
-            (f"sp4.kernel.matrix.{name}", f"abelianized image of {name} is the identity matrix", braid)
-            for name, braid in kernel_words.items()
-        ]
-    )
+    deaths = [
+        (f"sp4.kernel.matrix.{name}", f"abelianized image of {name} is the identity matrix", braid)
+        for name, braid in kernel_words.items()
+    ]
     full_twist_action = braid_automorphism(G2, kernel_words["full-twist"])
-    checks.append(
-        equality_check(
-            "sp4.kernel.full-twist-acts-trivially",
-            "the full twist acts as the identity on F_4",
-            full_twist_action,
-            Endomorphism.identity(4),
-        )
-    )
     act = alpha_square_action()
     reference = _alpha_square_reference_images()
-    checks.extend(
-        [
-            condition_check(
-                "sp4.kernel.alpha-square-fixes-a1",
-                "the alpha^2 action fixes a1",
-                act.fixes(1),
-                witness=str(act.images[0]),
-            ),
-            condition_check(
-                "sp4.kernel.alpha-square-fixes-b1",
-                "the alpha^2 action fixes b1",
-                act.fixes(3),
-                witness=str(act.images[2]),
-            ),
-            equality_check(
-                "sp4.kernel.alpha-square-image-a2",
-                "alpha^2 action on a2 matches the recorded conjugate",
-                act.images[1],
-                reference[2],
-            ),
-            equality_check(
-                "sp4.kernel.alpha-square-image-b2",
-                "alpha^2 action on b2 matches the recorded conjugate",
-                act.images[3],
-                reference[4],
-            ),
-            condition_check(
-                "sp4.kernel.alpha-square-nontrivial",
-                "the alpha^2 action is not the identity",
-                not act.is_identity(),
-            ),
-            condition_check(
-                "sp4.kernel.alpha-square-non-inner",
-                "fixing a1 and b1 while acting non-trivially certifies a"
-                " non-inner automorphism (the centralizer of {a1, b1} is trivial)",
-                act.fixes(1) and act.fixes(3) and not act.is_identity(),
-            ),
-        ]
-    )
-    return VerificationReport("sp4-kernel", tuple(checks))
+    return run_checks("sp4-kernel", _death_rows(deaths, PASS) + [
+        ("sp4.kernel.full-twist-acts-trivially", "the full twist acts as the identity on F_4",
+         *equal(full_twist_action, Endomorphism.identity(4))),
+        ("sp4.kernel.alpha-square-fixes-a1", "the alpha^2 action fixes a1",
+         act.fixes(1), act.images[0]),
+        ("sp4.kernel.alpha-square-fixes-b1", "the alpha^2 action fixes b1",
+         act.fixes(3), act.images[2]),
+        ("sp4.kernel.alpha-square-image-a2", "alpha^2 action on a2 matches the recorded conjugate",
+         *equal(act.images[1], reference[2])),
+        ("sp4.kernel.alpha-square-image-b2", "alpha^2 action on b2 matches the recorded conjugate",
+         *equal(act.images[3], reference[4])),
+        ("sp4.kernel.alpha-square-nontrivial", "the alpha^2 action is not the identity",
+         not act.is_identity()),
+        ("sp4.kernel.alpha-square-non-inner",
+         "fixing a1 and b1 while acting non-trivially certifies a"
+         " non-inner automorphism (the centralizer of {a1, b1} is trivial)",
+         act.fixes(1) and act.fixes(3) and not act.is_identity()),
+    ])
 
 
 def presentation_relations() -> tuple[tuple[str, str, tuple[int, ...], tuple[int, ...]], ...]:
@@ -445,13 +381,10 @@ def presentation_relations() -> tuple[tuple[str, str, tuple[int, ...], tuple[int
 
 def verify_presentation() -> VerificationReport:
     """All 14 relations of the braid-type presentation of Sp_4(Z)."""
-    checks = tuple(
-        equality_check(
-            f"sp4.presentation.{name}", description, golden_product(left), golden_product(right)
-        )
+    return run_checks("sp4-presentation", (
+        (f"sp4.presentation.{name}", description, *equal(golden_product(left), golden_product(right)))
         for name, description, left, right in presentation_relations()
-    )
-    return VerificationReport("sp4-presentation", checks)
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -543,8 +476,9 @@ def verify_gamma17_quotient() -> VerificationReport:
         (f"sp4.gamma17.matrix.{name}", f"{subject} abelianizes to the identity matrix", braid)
         for name, (subject, braid) in dying.items()
     ]
-    checks = _identity_checks(gamma17_identities()) + _death_checks(deaths, quotient_level=True)
-    return VerificationReport("sp4-gamma17", tuple(checks))
+    return run_checks(
+        "sp4-gamma17", _identity_rows(gamma17_identities()) + _death_rows(deaths, QUOTIENT_PASS)
+    )
 
 
 def verify_all() -> VerificationReport:

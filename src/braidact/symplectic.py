@@ -27,7 +27,7 @@ from .braids import BraidWord
 from .errors import DimensionMismatchError, StrandMismatchError
 from .fold import ColumnImages, fold, moved_columns
 from .matrices import IntMatrix
-from .report import VerificationReport, condition_check, equality_check
+from .report import VerificationReport, equal, run_checks
 
 
 @lru_cache(maxsize=None)
@@ -148,18 +148,16 @@ def sl2_matrices() -> tuple[IntMatrix, IntMatrix]:
 
 def verify_symplectic_generators(genus_range=(1, 2, 3, 4)) -> VerificationReport:
     """Check that every twist matrix satisfies the symplectic relation."""
-    checks = []
-    for g in genus_range:
-        for i, m in enumerate(_twist_matrices(g), 1):
-            checks.append(
-                condition_check(
-                    f"symplectic.g{g}.twist-{i}",
-                    f"abelianized twist {i} satisfies M^T J M = J (genus {g})",
-                    is_symplectic(m, g),
-                    witness=str(m),
-                )
-            )
-    return VerificationReport("symplectic-generators", tuple(checks))
+    return run_checks("symplectic-generators", (
+        (
+            f"symplectic.g{g}.twist-{i}",
+            f"abelianized twist {i} satisfies M^T J M = J (genus {g})",
+            is_symplectic(m, g),
+            m,
+        )
+        for g in genus_range
+        for i, m in enumerate(_twist_matrices(g), 1)
+    ))
 
 
 def random_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -179,11 +177,9 @@ def random_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
 DEFAULT_SEED = 20260809
 
 
-def _random_witness(count: int, bad: BraidWord | None) -> str:
+def _random_witness(count: int, bad: BraidWord | None) -> BraidWord | str | None:
     # A check over no braids proves nothing, so it fails too.
-    if count <= 0:
-        return "no braids checked"
-    return "" if bad is None else str(bad)
+    return "no braids checked" if count <= 0 else bad
 
 
 def verify_symplectic_random(
@@ -200,23 +196,22 @@ def verify_symplectic_random(
             bad_sympl = b
         if bad_det is None and m.det() != 1:
             bad_det = b
-    checks = (
-        condition_check(
+    return run_checks(f"symplectic-random(g={ctx.g})", (
+        (
             f"symplectic.g{ctx.g}.random-membership",
             f"{count} random braid images at genus {ctx.g} all satisfy M^T J M = J"
             f" (seed {seed})",
             count > 0 and bad_sympl is None,
-            witness=_random_witness(count, bad_sympl),
+            _random_witness(count, bad_sympl),
         ),
-        condition_check(
+        (
             f"symplectic.g{ctx.g}.random-determinant",
             f"{count} random braid images at genus {ctx.g} all have determinant 1"
             f" (seed {seed})",
             count > 0 and bad_det is None,
-            witness=_random_witness(count, bad_det),
+            _random_witness(count, bad_det),
         ),
-    )
-    return VerificationReport(f"symplectic-random(g={ctx.g})", checks)
+    ))
 
 
 SL2_BRAID_RELATION = ((1, -2, 1), (-2, 1, -2))
@@ -227,12 +222,10 @@ def verify_sl2_braid_relation() -> VerificationReport:
     pair ``SL2_BRAID_RELATION`` folded over (A, B)."""
     table = column_table(sl2_matrices())
     left, right = SL2_BRAID_RELATION
-    checks = (
-        equality_check(
+    return run_checks("sl2-braid-relation", (
+        (
             "symplectic.g1.sl2-braid-relation",
             "A B^-1 A = B^-1 A B^-1 for the genus-1 matrices",
-            fold_matrix(table, 2, left),
-            fold_matrix(table, 2, right),
+            *equal(fold_matrix(table, 2, left), fold_matrix(table, 2, right)),
         ),
-    )
-    return VerificationReport("sl2-braid-relation", checks)
+    ))

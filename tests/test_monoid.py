@@ -190,12 +190,6 @@ def test_block_table_rejects_non_commuting_blocks(monkeypatch):
         monoid._blocks.__wrapped__(3)
 
 
-def test_braid_lift_letters_coincide():
-    w = OmegaWord(2, (1, -4, 5))
-    assert w.braid_lift().letters == (1, -4, 5)
-    assert w.braid_lift().strands == 6
-
-
 def test_sweeps_over_no_words_fail():
     ctx = GenusContext(2)
     for report in (

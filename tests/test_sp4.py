@@ -38,11 +38,10 @@ def test_behr_generators_are_symplectic_and_exact():
 
 
 def test_special_braids():
-    sb = sp4.special_braids()
-    assert sb.Delta.letters == (1, 2, 3, 4, 5, 1, 2, 3, 4, 1, 2, 3, 1, 2, 1)
-    assert sb.alpha.letters == (4, 5) * 3
-    assert sb.beta.letters == (-3, 1, 2, 1, 2, 1, 2, 3)
-    assert sb.gamma.letters == (1, -3, 5)
+    assert sp4.DELTA.letters == (1, 2, 3, 4, 5, 1, 2, 3, 4, 1, 2, 3, 1, 2, 1)
+    assert sp4.ALPHA.letters == (4, 5) * 3
+    assert sp4.BETA.letters == (-3, 1, 2, 1, 2, 1, 2, 3)
+    assert sp4.GAMMA.letters == (1, -3, 5)
 
 
 def test_verify_all_is_the_six_suites_in_order():
@@ -107,8 +106,7 @@ def test_kernel_report_flags_exactly_the_alpha_beta_defect():
 
 
 def test_alpha_beta_image_is_visibly_not_the_identity():
-    sb = sp4.special_braids()
-    m = braid_matrix(G2, sb.alpha * sb.beta)
+    m = braid_matrix(G2, sp4.ALPHA * sp4.BETA)
     assert m != I4
     assert is_symplectic(m, 2)
     assert m == IntMatrix(((-1, 0, 0, 2), (0, -1, 2, 0), (0, 0, -1, 0), (0, 0, 0, -1)))
@@ -200,7 +198,7 @@ def test_folded_words_equal_the_dense_golden_products():
 def test_each_witness_and_its_lift_read_the_same_word():
     lifts = sp4.lift_table()
     assert list(lifts) == list(sp4.BEHR_WORDS) == list(sp4.BehrGenerators._fields)
-    delta = sp4.special_braids().Delta.letters
+    delta = sp4.DELTA.letters
     for name, (_, word) in sp4.BEHR_WORDS.items():
         expanded = []
         for x in word:
