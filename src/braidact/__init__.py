@@ -30,12 +30,7 @@ from .braids import (
     half_twist,
     parse_braid,
 )
-from .endo import (
-    Automorphism,
-    Endomorphism,
-    format_endomorphism,
-    parse_endomorphism,
-)
+from .endo import Automorphism, Endomorphism, format_endomorphism
 from .errors import (
     BraidactError,
     DimensionMismatchError,
@@ -103,7 +98,6 @@ __all__ = [
     "is_symplectic",
     "kernel_backend",
     "parse_braid",
-    "parse_endomorphism",
     "parse_word",
     "sl2_matrices",
     "standard_form",

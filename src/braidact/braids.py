@@ -20,12 +20,14 @@ Note ``==`` on BraidWord is structural (same reduced letters); use
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from . import _kernels
 from ._value import GroupWord
 from .errors import MalformedWordError, StrandMismatchError, WordSyntaxError
 from .endo import Automorphism, GeneratorTable
+from .words import signed_index
 
 
 def _in_range(letters: tuple[int, ...], strands: int) -> bool:
@@ -145,17 +147,26 @@ NAMED_B6: dict[str, tuple[int, ...]] = {
 }
 
 
+# A 0 that starts a digit run: ``int`` reads ``03`` but the token rule does not.
+# (Matching the 0 first lets the search skip to each 0 in the text.)
+_LEADING_ZERO = re.compile(r"0(?<![0-9]0)")
+
+
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed crossing indices.
 
-    ``k`` is the k-th generator, ``-k`` its inverse.  On six strands the
-    tokens DELTA6, ALPHA, BETA and GAMMA expand to the corresponding
+    ``k`` is the k-th generator, ``-k`` its inverse, each an ASCII
+    ``-?[1-9][0-9]*`` as ``words.signed_index`` reads it.  On six strands
+    the tokens DELTA6, ALPHA, BETA and GAMMA expand to the corresponding
     named braids.  Tokens split on Python whitespace (``str.split``); an
     error's position is the bad token's character offset.
     """
     tokens = text.split()
+    # The whole-text path: on ASCII text with no ``+``, ``_`` or leading
+    # zero, ``int`` accepts exactly the tokens the token rule does.
+    plain = text.isascii() and "+" not in text and "_" not in text
     try:
-        letters = tuple(map(int, tokens))
+        letters = tuple(map(int, tokens)) if plain and not _LEADING_ZERO.search(text) else None
     except ValueError:  # a named braid or a bad token
         letters = None
     if letters is None or not _in_range(letters, strands):
@@ -177,11 +188,10 @@ def _crossings(text: str, tokens: list[str], strands: int) -> tuple[int, ...]:
                 )
             letters += NAMED_B6[token]
             continue
-        try:
-            value = int(token)
-        except ValueError:
-            raise WordSyntaxError.at_token(f"bad token {token!r}", text, i) from None
-        if value == 0 or abs(value) >= strands:
+        value = signed_index(token)
+        if not value:
+            raise WordSyntaxError.at_token(f"bad token {token!r}", text, i)
+        if abs(value) >= strands:
             raise WordSyntaxError.at_token(
                 f"crossing {value} is out of range for {strands} strands", text, i
             )

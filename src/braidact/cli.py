@@ -88,16 +88,20 @@ def _budgeted_genus(g: int) -> GenusContext:
     return ctx
 
 
+def _ball_lengths(g: int, max_len: int) -> tuple[int, ...]:
+    """The lengths of the monoid suite's omega balls at genus g: the
+    normal-form sweep's and the section's, and none below genus 2."""
+    return (max_len, min(SECTION_MAX_LEN, max_len)) if g >= 2 else ()
+
+
 def _ball_words(g: int, max_len: int) -> int:
     """Words in the omega balls of the monoid suite at genus g.
 
     The count stops as soon as it passes MAX_BALL_WORDS, so a huge
     --genus or --max-len costs a few multiplications, not a huge power.
     """
-    if g < 2:
-        return 0
     total = 0
-    for length in (max_len, min(SECTION_MAX_LEN, max_len)):
+    for length in _ball_lengths(g, max_len):
         words = 1
         for _ in range(length + 1):
             total += words
@@ -124,13 +128,9 @@ def _run_suite(name: str, ctx: GenusContext, max_len: int, seed: int) -> Verific
     if name == "sp4":
         return sp4.verify_all()
     if name == "monoid":
-        reports = [
-            monoid.check_omega_alphabet(ctx),
-            monoid.free_monoid_oracle(max_len=10),
-        ]
-        if ctx.g >= 2:
-            reports.append(monoid.verify_normal_form_sweep(ctx, max_len))
-            reports.append(monoid.verify_section(ctx, min(SECTION_MAX_LEN, max_len)))
+        reports = [monoid.check_omega_alphabet(ctx), monoid.free_monoid_oracle(max_len=10)]
+        balls = (monoid.verify_normal_form_sweep, monoid.verify_section)
+        reports += [ball(ctx, n) for ball, n in zip(balls, _ball_lengths(ctx.g, max_len))]
         return merge_reports("monoid", reports)
     if name == "all":
         return merge_reports(

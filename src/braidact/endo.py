@@ -15,9 +15,7 @@ inverse of a word is the inverted word.
 A ``GeneratorTable`` has one evaluation method, ``automorphism``: the
 sparse forward-only fold of ``braidact.fold`` of a letter sequence, which
 touches only the images each letter moves.  A product over one table
-concatenates the letters, a product over two tables is the word ``1 2``
-over a table of the two factors, and a product with a plain
-endomorphism composes the images.
+concatenates the letters; any other product composes the images.
 """
 
 from __future__ import annotations
@@ -25,10 +23,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import _kernels
-from .errors import NotInverseError, RankMismatchError, WordSyntaxError
+from .errors import NotInverseError, RankMismatchError
 from .fold import WordImages, fold, moved_words
 from .matrices import IntMatrix
-from .words import FreeWord, parse_word
+from .words import FreeWord
 
 DEFAULT_LENGTH_CAP = 10**6
 
@@ -167,31 +165,15 @@ class Automorphism(Endomorphism):
         self._pos = forward._pos
         self._neg = None
 
-    @classmethod
-    def identity(cls, rank: int) -> "Automorphism":
-        return GeneratorTable(rank, ()).automorphism(())
-
     def inverse(self) -> "Automorphism":
         return self ** -1
 
     def __mul__(self, other: Endomorphism) -> Endomorphism:
         """The concatenated letters over a shared table, not freely reduced
-        (the folded images decide equality); else the other factor if one
-        has no letters, so products stay on a shared table; else the word
-        ``1 2`` over a table of the two factors.  A product with a plain
-        endomorphism is the composite of images."""
-        if not isinstance(other, Automorphism):
-            return super().__mul__(other)
-        if self.table is other.table:
+        (the folded images decide equality); else the composite of the images."""
+        if isinstance(other, Automorphism) and self.table is other.table:
             return self.table.automorphism(self.letters + other.letters)
-        if self.rank != other.rank:
-            raise RankMismatchError(f"cannot compose ranks {self.rank} and {other.rank}")
-        if not self.letters:
-            return other
-        if not other.letters:
-            return self
-        pairs = [(moved_words(a._pos), moved_words(a.inverse()._pos)) for a in (self, other)]
-        return GeneratorTable(self.rank, pairs).automorphism((1, 2))
+        return super().__mul__(other)
 
     def __pow__(self, exponent: int) -> "Automorphism":
         letters = self.letters if exponent >= 0 else _kernels.invert_reduced(self.letters)
@@ -251,42 +233,3 @@ def format_endomorphism(e: Endomorphism) -> str:
         f"{FreeWord.generator(e.rank, k)} -> {image}" for k, image in enumerate(e.images, 1)
     )
 
-
-def parse_endomorphism(text: str, rank: int) -> Endomorphism:
-    """Parse the ``name -> image`` line format produced by format_endomorphism.
-
-    Generators missing from the text are fixed.  An error's position is
-    its character offset in ``text``: the bad token's, or for a line
-    with no ``->``, a bad left side or a generator an earlier line
-    already maps, the start of the line's first token.
-    """
-    images: dict[int, FreeWord] = {}
-    end = 0
-    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
-        start, end = end, end + len(line)
-        if not line.strip():
-            continue
-        first = start + len(line) - len(line.lstrip())
-        left, arrow, right = line.partition("->")
-        if not arrow:
-            raise WordSyntaxError(f"missing '->' in line {lineno}", first)
-        source = _parse_at(left, start, rank)
-        if len(source.letters) != 1 or source.letters[0] < 0:
-            raise WordSyntaxError(
-                f"left side of line {lineno} must be a single generator", first
-            )
-        if source.letters[0] in images:
-            raise WordSyntaxError(
-                f"line {lineno} maps {left.strip()}, which an earlier line maps", first
-            )
-        images[source.letters[0]] = _parse_at(right, start + len(left) + 2, rank)
-    return Endomorphism.from_image_map(rank, images)
-
-
-def _parse_at(text: str, offset: int, rank: int) -> FreeWord:
-    """``parse_word`` of a part of a longer text that starts at ``offset``,
-    with an error's position moved to that text."""
-    try:
-        return parse_word(text, rank)
-    except WordSyntaxError as err:
-        raise WordSyntaxError(err.message, offset + err.position) from None

@@ -11,17 +11,16 @@ unimodular matrices only, O(n^5)) is kept as an independent reference
 for that symplectic inverse.
 
 One rule decides where entries are checked.  Entries that come from
-outside data are checked: ``IntMatrix(...)``, ``from_rows``,
-``from_columns`` and ``from_json`` put each one through
-``operator.index`` and check that the shape is square.  A result that a
-method computes from ``IntMatrix`` values (a product, a transpose, a
-negation, the identity, a minor, an inverse) is already a square tuple
-of exact ints, so it is adopted unchecked through ``IntMatrix._wrap``.
+outside data are checked: ``IntMatrix(...)`` and ``from_columns`` put
+each one through ``operator.index`` and check that the shape is
+square.  A result that a method computes from ``IntMatrix`` values (a
+product, a transpose, a negation, the identity, a minor, an inverse) is
+already a square tuple of exact ints, so it is adopted unchecked
+through ``IntMatrix._wrap``.
 """
 
 from __future__ import annotations
 
-import json
 from operator import index
 from typing import Iterable, Sequence
 
@@ -68,10 +67,6 @@ class IntMatrix(Value):
         if n < 0:
             raise DimensionMismatchError(f"the identity needs size >= 0, got {n}")
         return cls._wrap(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -175,14 +170,6 @@ class IntMatrix(Value):
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
-
-    def to_json(self) -> str:
-        """Row-major JSON array of arrays."""
-        return json.dumps(self.to_lists())
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntMatrix":
-        return cls.from_rows(json.loads(text))
 
     def __str__(self) -> str:
         width = max((len(str(x)) for row in self.rows for x in row), default=1)

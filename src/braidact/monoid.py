@@ -120,7 +120,8 @@ def check_omega_alphabet(ctx: GenusContext) -> VerificationReport:
     Expected pattern: t_1, t_{2g+1} and the inverse even twists are
     positive; everything else (including the interior odd twists and
     their inverses) is not.  At genus 1 there is no interior odd twist and
-    the three positive maps are the classical Sturmian ones.
+    the three positive maps are the classical Sturmian ones.  A failing
+    row's witness is the map, one ``generator -> image`` line each.
     """
     g = ctx.g
     positive_codes = set(omega_alphabet(g))
@@ -135,7 +136,7 @@ def check_omega_alphabet(ctx: GenusContext) -> VerificationReport:
                 f"twist {i}{' inverse' if side else ''} is"
                 f"{'' if expected else ' not'} positive (genus {g})",
                 observed == expected,
-                "\n".join(str(w) for w in e.images),
+                e,
             ))
     return run_checks(f"omega-alphabet(g={g})", rows)
 

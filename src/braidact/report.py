@@ -69,8 +69,8 @@ class VerificationReport(NamedTuple):
     def to_json_obj(self) -> list[dict]:
         return [c.to_json_obj() for c in self.sorted_checks()]
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), indent=2)
 
     def summary(self) -> str:
         done = sum(c.passed for c in self.checks)

@@ -36,9 +36,6 @@ class FreeWord(GroupWord):
             raise MalformedWordError(f"letter {bad} is outside the alphabet of rank {rank}")
         return _kernels.reduce_letters(raw)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -71,6 +68,13 @@ def token_index(token: str) -> int:
     return 0
 
 
+def signed_index(token: str) -> int:
+    """A signed index token, ASCII ``-?[1-9][0-9]*``, as its value, else 0:
+    ``-3`` gives -3, and ``+3``, ``03``, ``1_0`` and ``٣`` give 0."""
+    index = token_index(token if token[0] == "-" else "+" + token)  # skips the sign
+    return -index if token[0] == "-" else index
+
+
 def parse_word(text: str, rank: int) -> FreeWord:
     """Parse a word as ``FreeWord.__str__`` writes it.
 
@@ -89,8 +93,8 @@ def parse_word(text: str, rank: int) -> FreeWord:
     codes = []
     for i, token in enumerate(tokens):
         name = token[0]
-        if odd:  # token_index skips a first character: the sign, if any
-            index = token_index(token if name == "-" else "+" + token)
+        if odd:
+            index = abs(signed_index(token))
         else:
             index = token_index(token) if name in "abAB" else 0
         if not index:

@@ -326,6 +326,24 @@ def test_ball_budget_admits_the_default_sweeps():
     assert _ball_words(1, 5) == 0  # genus 1 has no normal-form sweep
 
 
+def test_ball_budget_counts_the_words_verify_monoid_enumerates(capsys, monkeypatch):
+    yielded = []
+    omega_words = monoid.omega_words
+
+    def counted(g, max_len):
+        for letters in omega_words(g, max_len):
+            yielded.append(letters)
+            yield letters
+
+    monkeypatch.setattr(monoid, "omega_words", counted)
+    for g in range(1, 5):
+        for max_len in range(6):
+            yielded.clear()
+            code, _, _ = run(capsys, "verify", "monoid", "--genus", str(g), "--max-len", str(max_len))
+            assert code == 0
+            assert len(yielded) == _ball_words(g, max_len), (g, max_len)
+
+
 def test_verify_all_nonpositive_genus_exits_2_before_printing(capsys):
     code, out, err = run(capsys, "verify", "all", "--genus", "0")
     assert code == 2 and out == ""

@@ -76,29 +76,19 @@ def test_identity_rejects_a_negative_size():
             IntMatrix.identity(n)
 
 
-def test_json_roundtrip():
-    m = IntMatrix(((0, -1), (1, 0)))
-    assert IntMatrix.from_json(m.to_json()) == m
-    assert m.to_json() == "[[0, -1], [1, 0]]"
-
-
 @pytest.mark.parametrize(
     "rows",
-    [((1.9, 0), (0, 1)), ((1.5, 0), (0, 1)), (("1", 0), (0, 1)), ((1, 0), (0, None))],
+    [
+        ((1.9, 0), (0, 1)),
+        ((1.5, 0), (0, 1)),
+        (("1", 0), (0, 1)),
+        ((1, 0), (0, None)),
+        ((1.0, 0), (0, 1)),  # an integral float is still a float
+    ],
 )
 def test_non_integer_entries_raise(rows):
     with pytest.raises(TypeError, match="matrix entries must be integers"):
         IntMatrix(rows)
-    with pytest.raises(TypeError):
-        IntMatrix.from_rows(rows)
-
-
-def test_from_json_rejects_floats():
-    with pytest.raises(TypeError):
-        IntMatrix.from_json("[[1.9, 0], [0, 1]]")
-    with pytest.raises(TypeError):
-        IntMatrix.from_json("[[1.0, 0], [0, 1]]")
-    assert IntMatrix.from_json("[[2, 0], [0, 1]]").det() == 2
 
 
 # -- det against exact rational elimination -------------------------------

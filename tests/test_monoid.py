@@ -4,7 +4,7 @@ import random
 import pytest
 
 from braidact import GenusContext, IntMatrix, MalformedWordError, WordSyntaxError, twist_automorphism
-from braidact import monoid
+from braidact import endo, monoid
 from braidact.action import twist_table
 from braidact.errors import BraidactError, ResourceLimitError
 from braidact.monoid import OmegaWord, format_omega, omega_normal_form, parse_omega
@@ -24,6 +24,23 @@ def test_alphabet_report_at_small_genera():
         report = monoid.check_omega_alphabet(GenusContext(g))
         assert report.all_passed(), [c.check_id for c in report.failures()]
         assert len(report.checks) == expected_checks
+
+
+def test_alphabet_report_formats_only_the_failing_map(monkeypatch):
+    moves = twist_table(2).moves
+    monkeypatch.setitem(moves, 1, moves[3])  # t_1 now acts as t_3, which is not positive
+    formatted = []
+    format_endomorphism = endo.format_endomorphism
+    monkeypatch.setattr(
+        endo, "format_endomorphism", lambda e: formatted.append(e) or format_endomorphism(e)
+    )
+    (failure,) = monoid.check_omega_alphabet(GenusContext(2)).failures()
+    assert failure.check_id == "monoid.g2.positivity.twist-1-forward"
+    assert failure.witness == {
+        "left": "a1 -> a1\na2 -> a2\nb1 -> b1 a1 A2\nb2 -> a2 A1 b2",
+        "right": "",
+    }
+    assert len(formatted) == 1  # the nine passing rows format nothing
 
 
 def test_omega_alphabet_letters():
@@ -114,7 +131,7 @@ def test_oracle_product_matches_the_matrix_product():
     rng = random.Random(0x2B2)
     for _ in range(200):
         m, x = (tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(2))
-        product = IntMatrix.from_rows([m[:2], m[2:]]) * IntMatrix.from_rows([x[:2], x[2:]])
+        product = IntMatrix([m[:2], m[2:]]) * IntMatrix([x[:2], x[2:]])
         assert monoid._times(m, x) == product.rows[0] + product.rows[1]
 
 

@@ -9,6 +9,7 @@ of the same type with the same message and the same ``position``.
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,11 +62,10 @@ def ref_parse_braid(text, strands):
                 )
             letters.extend(NAMED_B6[token])
             continue
-        try:
-            value = int(token)
-        except ValueError:
-            raise WordSyntaxError(f"bad token {token!r}", match.start()) from None
-        if value == 0 or abs(value) >= strands:
+        if _SIGNED_TOKEN.match(token) is None:
+            raise WordSyntaxError(f"bad token {token!r}", match.start())
+        value = int(token)
+        if abs(value) >= strands:
             raise WordSyntaxError(
                 f"crossing {value} is out of range for {strands} strands", match.start()
             )
@@ -172,14 +172,13 @@ def indexed(names, indices):
 
 
 braid_texts = texts(
-    st.one_of(
-        st.integers(-5, 5).filter(bool).map(str),
-        st.integers(1, 5).map(lambda k: f"+{k}"),
-        st.sampled_from(tuple(NAMED_B6)),
-    ),
+    st.one_of(st.integers(-5, 5).filter(bool).map(str), st.sampled_from(tuple(NAMED_B6))),
     st.one_of(
         st.integers(-12, 12).map(str),
-        st.sampled_from(("0", "-0", "+0", "1_0", "\u0663", "delta6", "ALPHA2")),
+        st.integers(1, 5).map(lambda k: f"+{k}"),
+        st.sampled_from(
+            ("0", "-0", "+0", "03", "-03", "1_0", "\u0663", "\uff12", "delta6", "ALPHA2")
+        ),
         JUNK,
     ),
 )
@@ -205,6 +204,17 @@ omega_texts = texts(
 @given(braid_texts, st.sampled_from((6, 6, 6, 6, 7, 10, 3, 2, 1, 0, -1)))
 def test_parse_braid_matches_the_regex_parser(text, strands):
     assert outcome(parse_braid, text, strands) == outcome(ref_parse_braid, text, strands)
+
+
+@pytest.mark.parametrize("token", ("1_0", "1_1", "\u0663", "\uff12", "+3", "03", "-03", "-0"))
+@pytest.mark.parametrize("text, strands", (("1 {} 2", 12), ("ALPHA {}", 6)))
+def test_braid_tokens_that_int_reads_are_bad_tokens(token, text, strands):
+    """Each token is a bad token on the whole-text path, which ``int``
+    would accept, and on the token path, which a named braid forces."""
+    text = text.format(token)
+    got = outcome(parse_braid, text, strands)
+    assert got == outcome(ref_parse_braid, text, strands)
+    assert got[0] == "error" and got[2].startswith(f"bad token {token!r}")
 
 
 @settings(max_examples=200, derandomize=True)

@@ -118,17 +118,17 @@ def test_is_symplectic_matches_the_dense_definition():
                 # perturb one entry, which leaves Sp_2g(Z)
                 rows = [list(row) for row in m.rows]
                 rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice([1, -1, 2])
-                m = IntMatrix.from_rows(rows)
+                m = IntMatrix(rows)
             elif kind == 2:
                 # right-multiply by the transvection I + E_{i,i+g}, which stays in Sp_2g(Z)
                 i = rng.randrange(g)
                 rows = [[int(r == c) for c in range(2 * g)] for r in range(2 * g)]
                 rows[i][i + g] = 1
-                m = m * IntMatrix.from_rows(rows)
+                m = m * IntMatrix(rows)
             elif kind == 3:
                 # right-multiply by diag(I_g, -I_g): M^T J M = -J, and at
                 # even g the determinant is still 1
-                m = m * IntMatrix.from_rows(
+                m = m * IntMatrix(
                     [[(1 if r < g else -1) * int(r == c) for c in range(2 * g)] for r in range(2 * g)]
                 )
             elif kind == 4:
