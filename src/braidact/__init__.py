@@ -25,8 +25,6 @@ from .braids import (
     artin_action,
     braids_equal,
     format_braid,
-    full_twist,
-    full_twist_center_check,
     half_twist,
     parse_braid,
 )
@@ -92,8 +90,6 @@ __all__ = [
     "format_braid",
     "format_endomorphism",
     "format_word",
-    "full_twist",
-    "full_twist_center_check",
     "half_twist",
     "is_symplectic",
     "kernel_backend",

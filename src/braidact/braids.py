@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import _kernels
 from ._value import GroupWord
@@ -121,30 +123,15 @@ def half_twist(strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def full_twist(strands: int) -> BraidWord:
-    """(s_1..s_{n-1})^n, the generator of the center of B_n for n >= 3."""
-    return BraidWord(strands, tuple(range(1, strands))) ** strands
-
-
-def full_twist_center_check(strands: int) -> bool:
-    """Mechanically confirm that the full twist commutes with every generator."""
-    if strands < 3:
-        raise MalformedWordError(f"center check needs at least 3 strands, got {strands}")
-    ft = full_twist(strands)
-    return all(
-        braids_equal(ft * BraidWord.generator(strands, i), BraidWord.generator(strands, i) * ft)
-        for i in range(1, strands)
-    )
-
-
 # The named 6-strand braids, as crossing letters: the one definition the
 # parser expands on six strands and ``sp4`` builds its braids from.
-NAMED_B6: dict[str, tuple[int, ...]] = {
+# Read-only, so no caller can change what a later parse reads.
+NAMED_B6: Mapping[str, tuple[int, ...]] = MappingProxyType({
     "DELTA6": half_twist(6).letters,
     "ALPHA": (4, 5) * 3,
     "BETA": (-3, 1, 2, 1, 2, 1, 2, 3),
     "GAMMA": (1, -3, 5),
-}
+})
 
 
 # A 0 that starts a digit run: ``int`` reads ``03`` but the token rule does not.

@@ -5,7 +5,8 @@ Subcommands: ``apply`` (act on a free-group word by a braid), ``matrix``
 ``parse`` (echo a word in canonical form), and ``verify`` (run a named
 check suite).  Exit codes: 0 success / equal / all checks passed,
 1 verified false, 2 usage or parse error, 3 resource cap or work budget
-exceeded.  The work budgets are checked before any work starts:
+exceeded, 141 (128 + SIGPIPE) the reader of stdout closed the pipe.
+The work budgets are checked before any work starts:
 ``--genus`` may be at most ``MAX_GENUS`` on ``apply``, ``matrix`` and
 every ``verify`` suite but ``sp4``; ``equal --strands`` may be at most
 ``MAX_EQUAL_STRANDS``; and the omega balls of ``verify monoid`` and
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import NoReturn
@@ -210,7 +212,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        status = _run(_build_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Point stdout at devnull so the
+        # flush at exit cannot fail again, and report SIGPIPE as a shell
+        # does: 1 would read as a verdict.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "apply":
             cap = DEFAULT_LENGTH_CAP if args.max_len is None else args.max_len

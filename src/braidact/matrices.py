@@ -100,9 +100,6 @@ class IntMatrix(Value):
     def transpose(self) -> "IntMatrix":
         return IntMatrix._wrap(tuple(zip(*self.rows)))
 
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.dim)
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination.
 

@@ -32,20 +32,22 @@ tables into check rows and hands them to ``report.run_checks``, which
 applies the pass and witness rules.  Matrix words go
 through the one fold of ``symplectic``: the golden matrices (M1..M5 of
 the crossings, MDelta of the half twist), checked symplectic once, form
-one fold table.  ``BEHR_WORDS`` spells each Behr generator once over
-it, and ``presentation_relations`` holds the 14 relations as word pairs
-over it: the ten of ``braids.artin_relations(6)`` and four extra ones.
+one fold table.  ``BEHR`` holds each Behr generator as one row (its
+spelling, its word over that table, its matrix), ``presentation_relations``
+the 14 relations as word pairs over it: the ten of
+``braids.artin_relations(6)`` and four extra ones.  ``gamma_elements``
+maps the seven lifted relators, gamma1 to gamma17, by name to braids.
 
 Braid-word conventions here: Delta is the positive half twist of the
-6-strand group, alpha = (s4 s5)^3, beta = s3^-1 (s1 s2)^3 s3, and
-gamma = s1 s3^-1 s5.
+6-strand group and ``FULL_TWIST`` = Delta^2, alpha = (s4 s5)^3,
+beta = s3^-1 (s1 s2)^3 s3, and gamma = s1 s3^-1 s5.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .action import GenusContext, braid_automorphism
 from .braids import NAMED_B6, BraidWord, artin_relations, braids_equal
@@ -69,65 +71,45 @@ DELTA = BraidWord(6, NAMED_B6["DELTA6"])
 ALPHA = BraidWord(6, NAMED_B6["ALPHA"])
 BETA = BraidWord(6, NAMED_B6["BETA"])
 GAMMA = BraidWord(6, NAMED_B6["GAMMA"])
+FULL_TWIST = DELTA ** 2
 
-# Behr's generators as (spelling, word) over the golden letters: 1-5 are
-# M1..M5 and 6 is MDelta.  The witnesses fold each word over the golden
-# matrices; the lifts read it as a braid, with letter 6 expanded to DELTA.
+# Behr's generators, one row each: name -> (spelling, word, matrix), the
+# word over the golden letters (1-5 are M1..M5, 6 is MDelta).  The
+# witnesses fold it over the golden matrices; the lifts read it as a
+# braid, with letter 6 expanded to DELTA.
 HALF_TWIST_LETTER = 6
-BEHR_WORDS = {
-    "x_beta": ("M5", (5,)),
-    "x_alpha_plus_beta": ("M1 M3^-1 M5", NAMED_B6["GAMMA"]),
-    "x_two_alpha_plus_beta": ("M1", (1,)),
-    "x_alpha": ("M5^-1 M4^-1 M1^-1 M3 M5^-1 M4 M5", (-5, -4, -1, 3, -5, 4, 5)),
-    "w_alpha": ("(M4 M5)^3 MDelta", NAMED_B6["ALPHA"] + (HALF_TWIST_LETTER,)),
-    "w_beta": ("(M4 M5 M4)^-1", (-4, -5, -4)),
-}
+BEHR: Mapping[str, tuple[str, tuple[int, ...], IntMatrix]] = MappingProxyType({
+    "x_beta": (
+        "M5", (5,), IntMatrix(((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ),
+    "x_alpha_plus_beta": (
+        "M1 M3^-1 M5", NAMED_B6["GAMMA"],
+        IntMatrix(((1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ),
+    "x_two_alpha_plus_beta": (
+        "M1", (1,), IntMatrix(((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ),
+    "x_alpha": (
+        "M5^-1 M4^-1 M1^-1 M3 M5^-1 M4 M5", (-5, -4, -1, 3, -5, 4, 5),
+        IntMatrix(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1))),
+    ),
+    "w_alpha": (
+        "(M4 M5)^3 MDelta", NAMED_B6["ALPHA"] + (HALF_TWIST_LETTER,),
+        IntMatrix(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))),
+    ),
+    "w_beta": (
+        "(M4 M5 M4)^-1", (-4, -5, -4),
+        IntMatrix(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0))),
+    ),
+})
 
-X_ALPHA = BraidWord(6, BEHR_WORDS["x_alpha"][1])
+X_ALPHA = BraidWord(6, BEHR["x_alpha"][1])
 CORE454 = _b6(4, 5, 4)
 # Conjugates gamma' in the w-jump of the 17th lifted relator.
 W_JUMP_CONJUGATOR = _b6(1, 2, 1, -3, -2, -4)
 GAMMA_PRIME = ALPHA * _b6(-3) * _b6(1, 2, 5, 4, 5) * ALPHA * GAMMA * _b6(3, 4, 5, 2, 1, 2) * _b6(3)
 # The closed form the chain rewrites gamma' into.
 GAMMA_PRIME_CLOSED = ALPHA * _b6(-3) * _b6(1, 2) * ALPHA ** 2 * _b6(1, 2) ** 2 * _b6(3)
-
-
-class BehrGenerators(NamedTuple):
-    """The six matrices generating Sp_4(Z) in Behr's presentation."""
-
-    x_beta: IntMatrix
-    x_alpha_plus_beta: IntMatrix
-    x_two_alpha_plus_beta: IntMatrix
-    x_alpha: IntMatrix
-    w_alpha: IntMatrix
-    w_beta: IntMatrix
-
-
-class GammaElements(NamedTuple):
-    """Kernel elements obtained by lifting Behr's seven nontrivial relators."""
-
-    gamma1: BraidWord
-    gamma2: BraidWord
-    gamma7: BraidWord
-    gamma10: BraidWord
-    gamma13: BraidWord
-    gamma14: BraidWord
-    gamma17: BraidWord
-
-
-def behr_generators() -> BehrGenerators:
-    return BehrGenerators(
-        x_beta=IntMatrix(((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))),
-        x_alpha_plus_beta=IntMatrix(
-            ((1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        ),
-        x_two_alpha_plus_beta=IntMatrix(
-            ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        ),
-        x_alpha=IntMatrix(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1))),
-        w_alpha=IntMatrix(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))),
-        w_beta=IntMatrix(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0))),
-    )
 
 
 def crossing_matrices() -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -167,54 +149,52 @@ def golden_product(letters: Sequence[int]) -> IntMatrix:
 
 def lift_table() -> dict[str, BraidWord]:
     """Braid lifts of Behr's generators (abelianizing a lift recovers its matrix)."""
+    expand = {HALF_TWIST_LETTER: DELTA.letters}
     return {
-        name: BraidWord(
-            6,
-            tuple(y for x in word for y in (DELTA.letters if x == HALF_TWIST_LETTER else (x,))),
-        )
-        for name, (_, word) in BEHR_WORDS.items()
+        name: BraidWord(6, tuple(y for x in word for y in expand.get(x, (x,))))
+        for name, (_, word, _) in BEHR.items()
     }
 
 
 @lru_cache(maxsize=None)
-def gamma_elements() -> GammaElements:
-    """The seven lifted relators, each in its recorded word form, built
-    once: the tuple and its braids are immutable."""
+def gamma_elements() -> Mapping[str, BraidWord]:
+    """The seven lifted relators by name, each in its recorded word form,
+    built once as a read-only mapping."""
     gamma_shifted = GAMMA.conjugated_by(_b6(-5, -4))
     # s1^-1 s3 s5^-1: gamma^-1 with its commuting letters in another order.
     gamma_inv_commuted = _b6(-1, 3, -5)
-    gamma1 = _b6(-1) * GAMMA.inverse() * X_ALPHA * _b6(5) * gamma_shifted * _b6(-5)
-    gamma2 = _b6(-1, -1) * X_ALPHA * GAMMA * gamma_shifted * gamma_inv_commuted
-    gamma7 = ALPHA * DELTA * CORE454 ** -2 * ALPHA * DELTA * CORE454 ** 2
-    gamma10 = CORE454 ** 4
-    gamma13 = ALPHA * DELTA * GAMMA * DELTA.inverse() * ALPHA.inverse() * GAMMA
-    gamma14 = X_ALPHA * CORE454 * gamma_inv_commuted * CORE454.inverse()
-    gamma17 = (
-        ALPHA * DELTA * X_ALPHA * DELTA.inverse() * ALPHA.inverse()
-        * X_ALPHA
-        * ALPHA * DELTA * X_ALPHA
-    )
-    return GammaElements(gamma1, gamma2, gamma7, gamma10, gamma13, gamma14, gamma17)
+    return MappingProxyType({
+        "gamma1": _b6(-1) * GAMMA.inverse() * X_ALPHA * _b6(5) * gamma_shifted * _b6(-5),
+        "gamma2": _b6(-1, -1) * X_ALPHA * GAMMA * gamma_shifted * gamma_inv_commuted,
+        "gamma7": ALPHA * DELTA * CORE454 ** -2 * ALPHA * DELTA * CORE454 ** 2,
+        "gamma10": CORE454 ** 4,
+        "gamma13": ALPHA * DELTA * GAMMA * DELTA.inverse() * ALPHA.inverse() * GAMMA,
+        "gamma14": X_ALPHA * CORE454 * gamma_inv_commuted * CORE454.inverse(),
+        "gamma17": (
+            ALPHA * DELTA * X_ALPHA * DELTA.inverse() * ALPHA.inverse()
+            * X_ALPHA
+            * ALPHA * DELTA * X_ALPHA
+        ),
+    })
 
 
 def verify_surjectivity_witnesses() -> VerificationReport:
     """Behr's six generators as words in the crossing matrices."""
-    xg = behr_generators()._asdict()
     return run_checks("sp4-surjectivity", (
-        (f"sp4.witness.{name}", f"{name} = {spelling}", *equal(xg[name], golden_product(word)))
-        for name, (spelling, word) in BEHR_WORDS.items()
+        (f"sp4.witness.{name}", f"{name} = {spelling}", *equal(matrix, golden_product(word)))
+        for name, (spelling, word, matrix) in BEHR.items()
     ))
 
 
 def verify_lift_consistency() -> VerificationReport:
     """Each Behr generator equals the abelianized image of its braid lift."""
-    xg = behr_generators()._asdict()
     rows = []
     for name, braid in lift_table().items():
+        matrix = BEHR[name][2]
         rows.append((f"sp4.lift.{name}", f"abelianized lift of {name} reproduces the matrix",
-                     *equal(braid_matrix(G2, braid), xg[name])))
+                     *equal(braid_matrix(G2, braid), matrix)))
         rows.append((f"sp4.lift.{name}.symplectic", f"{name} satisfies M^T J M = J",
-                     is_symplectic(xg[name], 2), xg[name]))
+                     is_symplectic(matrix, 2), matrix))
     return run_checks("sp4-lifts", rows)
 
 
@@ -246,17 +226,17 @@ def gamma_identities() -> tuple[tuple[str, str, BraidWord, BraidWord], ...]:
     middle_right = _b6(1, 2) * (_b6(5, 4, 5) * ALPHA * _b6(5, 4, 5)) * _b6(1, 2) ** 2
     return (
         ("sp4.gamma.1-conjugate-2", "gamma1 = s3 gamma2 s3^-1",
-         ge.gamma1, ge.gamma2.conjugated_by(_b6(3))),
+         ge["gamma1"], ge["gamma2"].conjugated_by(_b6(3))),
         ("sp4.gamma.7-pre-commute",
          "gamma7: (s4 s5)^3 Delta (s4s5s4)^2 commutes into (s4s5s4)^2 Delta (s4 s5)^3",
-         ge.gamma7, ALPHA * DELTA * CORE454 ** -2 * CORE454 ** 2 * DELTA * ALPHA),
+         ge["gamma7"], ALPHA * DELTA * CORE454 ** -2 * CORE454 ** 2 * DELTA * ALPHA),
         ("sp4.gamma.7-central-form", "gamma7 = (s4 s5)^6 Delta^2",
-         ge.gamma7, ALPHA ** 2 * DELTA ** 2),
-        ("sp4.gamma.10-power-identity", "(s4 s5 s4)^4 = (s4 s5)^6", ge.gamma10, ALPHA ** 2),
+         ge["gamma7"], ALPHA ** 2 * FULL_TWIST),
+        ("sp4.gamma.10-power-identity", "(s4 s5 s4)^4 = (s4 s5)^6", ge["gamma10"], ALPHA ** 2),
         ("sp4.gamma.13-delta-free-form", "gamma13 = (s4 s5)^3 gamma (s4 s5)^-3 gamma",
-         ge.gamma13, ALPHA * GAMMA * ALPHA.inverse() * GAMMA),
-        ("sp4.gamma.13-inverse-of-2", "gamma13 = gamma2^-1", ge.gamma13, ge.gamma2.inverse()),
-        ("sp4.gamma.14-equals-2", "gamma14 = gamma2", ge.gamma14, ge.gamma2),
+         ge["gamma13"], ALPHA * GAMMA * ALPHA.inverse() * GAMMA),
+        ("sp4.gamma.13-inverse-of-2", "gamma13 = gamma2^-1", ge["gamma13"], ge["gamma2"].inverse()),
+        ("sp4.gamma.14-equals-2", "gamma14 = gamma2", ge["gamma14"], ge["gamma2"]),
         ("sp4.gamma.w-jump",
          "alpha^-1 s2^-1 s1^-1 Delta = s3 s4 s5 s2 s1 s2 s3 (s1 s2 s1 s3^-1 s2^-1 s4^-1)^-1",
          ALPHA.inverse() * _b6(-2, -1) * DELTA,
@@ -268,7 +248,7 @@ def gamma_identities() -> tuple[tuple[str, str, BraidWord, BraidWord], ...]:
         ),
         *(
             (f"sp4.gamma.full-twist-central-{i}", f"Delta^2 commutes with s{i}",
-             DELTA ** 2 * _b6(i), _b6(i) * DELTA ** 2)
+             FULL_TWIST * _b6(i), _b6(i) * FULL_TWIST)
             for i in range(1, 6)
         ),
         ("sp4.gamma.prime-block",
@@ -321,7 +301,7 @@ def verify_kernel_generators() -> VerificationReport:
     and b1, and only the trivial element does.
     """
     kernel_words = {
-        "full-twist": DELTA ** 2,
+        "full-twist": FULL_TWIST,
         "alpha-square": ALPHA ** 2,
         "alpha-beta": ALPHA * BETA,
         "alpha-gamma-square": (ALPHA * GAMMA) ** 2,
@@ -365,7 +345,7 @@ def presentation_relations() -> tuple[tuple[str, str, tuple[int, ...], tuple[int
         (
             "half-twist-squared",
             "the 15-crossing half-twist word squares to the identity matrix",
-            DELTA.letters * 2,
+            FULL_TWIST.letters,
             (),
         ),
         ("alpha-order", "(M4 M5)^6 = I", alpha * 2, ()),
@@ -444,7 +424,7 @@ def _gamma17_chain_words() -> Mapping[str, BraidWord]:
 def gamma17_identities() -> tuple[tuple[str, str, BraidWord, BraidWord], ...]:
     """The exact rewritings of the 17th lifted relator, as (name,
     description, left, right)."""
-    gamma17 = gamma_elements().gamma17
+    gamma17 = gamma_elements()["gamma17"]
     chain = _gamma17_chain_words()
     return (
         ("sp4.gamma17.jump", "pre-jump and post-jump forms of the 17th lifted relator agree",
@@ -468,7 +448,7 @@ def verify_gamma17_quotient() -> VerificationReport:
     module docstring); the corrected jump is verified alongside.
     """
     dying = {
-        "self": ("the 17th lifted relator", gamma_elements().gamma17),
+        "self": ("the 17th lifted relator", gamma_elements()["gamma17"]),
         "alpha-beta": ("alpha beta", ALPHA * BETA),
         **{name: (f"chain stage {name}", braid) for name, braid in _gamma17_chain_words().items()},
     }

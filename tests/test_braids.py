@@ -14,12 +14,10 @@ from braidact import (
     artin_action,
     braids_equal,
     format_braid,
-    full_twist,
-    full_twist_center_check,
     half_twist,
     parse_braid,
 )
-from braidact.braids import artin_relations
+from braidact.braids import NAMED_B6, artin_relations
 from braidact.symplectic import random_braid
 
 SEED = 0x5EED
@@ -131,12 +129,19 @@ def test_half_twist():
         assert braids_equal(delta * b6(i), b6(6 - i) * delta)
 
 
+def test_named_braids_are_read_only():
+    with pytest.raises(TypeError):
+        NAMED_B6["ALPHA"] = (1,)
+    assert parse_braid("ALPHA", 6) == BraidWord(6, (4, 5) * 3)
+
+
 def test_full_twist_is_central():
-    assert full_twist_center_check(3)
-    assert full_twist_center_check(4)
-    assert full_twist_center_check(6)
-    assert full_twist_center_check(8)
-    assert full_twist(4) == BraidWord(4, (1, 2, 3)) ** 4
+    for n in (3, 4, 6, 8):
+        full = half_twist(n) ** 2
+        assert braids_equal(full, BraidWord(n, range(1, n)) ** n), n
+        for i in range(1, n):
+            s = BraidWord.generator(n, i)
+            assert braids_equal(full * s, s * full), (n, i)
 
 
 def test_parse_and_format():

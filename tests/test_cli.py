@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -450,3 +454,44 @@ def test_every_command_line_exits_with_a_stated_code(args):
             for module, name in BUILDERS:
                 mp.setattr(module, name, refuse_to_build)
             assert exit_code_and_errors(args) == (code, lines)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# The console script's body, with the package taken from this checkout.
+CONSOLE = (
+    "import sys; sys.path.insert(0, sys.argv[1]);"
+    " from braidact.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("equal", "1 2 1", "2 1 2"),
+    ("verify", "relations", "--genus", "3"),
+    ("verify", "all", "--genus", "2", "--json"),
+])
+def test_a_closed_stdout_pipe_exits_141_quietly(argv):
+    """With no reader left, exit 1 would read as a verdict: the command
+    exits 141, as a shell reports SIGPIPE, and writes nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CONSOLE, SRC, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_what_it_loads():
+    """``_value.Value`` replaces dataclasses so that these four modules,
+    about 0.9 MB of resident memory, stay out of every command."""
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import braidact.cli;"
+        " print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, SRC], capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

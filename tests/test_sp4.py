@@ -28,12 +28,18 @@ I4 = IntMatrix.identity(4)
 
 
 def test_behr_generators_are_symplectic_and_exact():
-    xg = sp4.behr_generators()
-    assert xg.x_two_alpha_plus_beta == IntMatrix(
+    assert list(sp4.BEHR) == [
+        "x_beta", "x_alpha_plus_beta", "x_two_alpha_plus_beta", "x_alpha", "w_alpha", "w_beta",
+    ]
+    assert sp4.BEHR["x_two_alpha_plus_beta"][2] == IntMatrix(
         ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     )
-    assert xg.w_beta == IntMatrix(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0)))
-    for m in xg._asdict().values():
+    assert sp4.BEHR["w_beta"] == (
+        "(M4 M5 M4)^-1",
+        (-4, -5, -4),
+        IntMatrix(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0))),
+    )
+    for _, _, m in sp4.BEHR.values():
         assert is_symplectic(m, 2)
 
 
@@ -42,6 +48,8 @@ def test_special_braids():
     assert sp4.ALPHA.letters == (4, 5) * 3
     assert sp4.BETA.letters == (-3, 1, 2, 1, 2, 1, 2, 3)
     assert sp4.GAMMA.letters == (1, -3, 5)
+    assert sp4.FULL_TWIST.letters == sp4.DELTA.letters * 2
+    assert braids_equal(sp4.FULL_TWIST, BraidWord(6, range(1, 6)) ** 6)
 
 
 def test_verify_all_is_the_six_suites_in_order():
@@ -68,7 +76,7 @@ def test_lift_table_commutes_with_the_matrix_map():
     report = sp4.verify_lift_consistency()
     assert report.all_passed()
     table = sp4.lift_table()
-    assert braid_matrix(G2, table["x_beta"]) == sp4.behr_generators().x_beta
+    assert braid_matrix(G2, table["x_beta"]) == sp4.BEHR["x_beta"][2]
     assert table["w_beta"].letters == (-4, -5, -4)
 
 
@@ -80,13 +88,14 @@ def test_gamma_identities_all_pass():
 def test_gamma10_is_alpha_squared():
     ge = sp4.gamma_elements()
     alpha = BraidWord(6, (4, 5)) ** 3
-    assert braids_equal(ge.gamma10, alpha ** 2)
+    assert braids_equal(ge["gamma10"], alpha ** 2)
 
 
 def test_gamma_elements_all_die_in_the_matrix_group():
     ge = sp4.gamma_elements()
-    for name in ("gamma1", "gamma2", "gamma7", "gamma10", "gamma13", "gamma14", "gamma17"):
-        assert braid_matrix(G2, getattr(ge, name)) == I4, name
+    assert list(ge) == ["gamma1", "gamma2", "gamma7", "gamma10", "gamma13", "gamma14", "gamma17"]
+    for name, braid in ge.items():
+        assert braid_matrix(G2, braid) == I4, name
 
 
 def test_half_twist_matrix_is_an_involution_and_flips_crossings():
@@ -145,7 +154,7 @@ def test_each_exact_identity_is_one_named_row():
 def test_gamma17_jump_witness_spells_both_braids():
     by_id = {c.check_id: c for c in sp4.verify_gamma17_quotient().checks}
     assert by_id["sp4.gamma17.jump"].witness == {
-        "left": str(sp4.gamma_elements().gamma17),
+        "left": str(sp4.gamma_elements()["gamma17"]),
         "right": str(sp4._gamma17_chain_words()["post-jump"]),
     }
 
@@ -174,9 +183,8 @@ def dense_product(matrices, word):
 
 def test_folded_words_equal_the_dense_golden_products():
     golden = sp4.crossing_matrices() + (sp4.half_twist_matrix(),)
-    xg = sp4.behr_generators()._asdict()
-    for name, (_, word) in sp4.BEHR_WORDS.items():
-        assert sp4.golden_product(word) == dense_product(golden, word) == xg[name], name
+    for name, (_, word, matrix) in sp4.BEHR.items():
+        assert sp4.golden_product(word) == dense_product(golden, word) == matrix, name
     relations = sp4.presentation_relations()
     checks = sp4.verify_presentation().checks
     assert len(relations) == len(checks) == 14
@@ -197,15 +205,15 @@ def test_folded_words_equal_the_dense_golden_products():
 
 def test_each_witness_and_its_lift_read_the_same_word():
     lifts = sp4.lift_table()
-    assert list(lifts) == list(sp4.BEHR_WORDS) == list(sp4.BehrGenerators._fields)
+    assert list(lifts) == list(sp4.BEHR)
     delta = sp4.DELTA.letters
-    for name, (_, word) in sp4.BEHR_WORDS.items():
+    for name, (_, word, _) in sp4.BEHR.items():
         expanded = []
         for x in word:
             expanded.extend(delta if x == 6 else (x,))
         assert lifts[name] == BraidWord(6, expanded), name
         assert braid_matrix(G2, lifts[name]) == sp4.golden_product(word), name
-    assert sp4.X_ALPHA.letters == sp4.BEHR_WORDS["x_alpha"][1]
+    assert sp4.X_ALPHA.letters == sp4.BEHR["x_alpha"][1]
 
 
 def test_golden_table_rejects_a_non_symplectic_matrix():
@@ -218,8 +226,13 @@ def test_golden_table_rejects_a_non_symplectic_matrix():
 
 
 def test_constant_braid_tables_are_built_once_and_read_only():
-    assert sp4.gamma_elements() is sp4.gamma_elements()
+    ge = sp4.gamma_elements()
+    assert ge is sp4.gamma_elements()
     chain = sp4._gamma17_chain_words()
     assert chain is sp4._gamma17_chain_words()
     with pytest.raises(TypeError):
         chain["post-jump"] = chain["derived"]
+    with pytest.raises(TypeError):
+        ge["gamma1"] = ge["gamma2"]
+    with pytest.raises(TypeError):
+        sp4.BEHR["x_beta"] = sp4.BEHR["w_beta"]
