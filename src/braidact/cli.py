@@ -38,13 +38,13 @@ from .symplectic import (
 )
 from .words import format_word, parse_word
 
-# `apply`, `matrix` and `verify` build the 2g+1 twists of the genus and
-# their dense abelianized matrices, and `verify symplectic` checks those
-# twists and multiplies 500 dense 2g x 2g matrices, so their work grows
-# with the cube of --genus: on 2 vCPUs, `verify all --genus 32
-# --max-len 3` took 12.7 to 14.1 s (median 12.8 s of 5 runs) in 25 MB,
-# and `verify monoid --genus 2000 --max-len 0` did not finish in two
-# minutes.  (`verify sp4` ignores --genus.)
+# `apply`, `matrix` and `verify` build the 2g+1 twists of the genus from
+# their sparse moves, one length-2g column per move (a fresh `matrix 1
+# --genus 32` takes 0.14 s in 16 MB), but `verify symplectic` multiplies
+# 500 dense 2g x 2g matrices, cubic in --genus: on 2 vCPUs, `verify all
+# --genus 32 --max-len 3` took 12.1 to 13.9 s (median 13.2 s of 5 runs)
+# in 25 MB, and `verify monoid --genus 2000 --max-len 0` did not finish
+# in two minutes.  (`verify sp4` ignores --genus.)
 MAX_GENUS = 32
 
 # `equal` builds one Artin generator per crossing from its two moves, and
@@ -213,7 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        status = _run(_build_parser().parse_args(argv))
+        try:
+            status = _run(_build_parser().parse_args(argv))
+        except SystemExit:
+            # argparse exits after --help: meet a closed pipe here, not at exit.
+            sys.stdout.flush()
+            raise
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader of stdout is gone.  Point stdout at devnull so the

@@ -22,8 +22,8 @@ The same loop serves two kinds of image:
   later step's action reads its generator inverted;
 - ``ColumnImages``: integer column vectors, where a step replaces the
   moved columns with integer combinations of the current ones (the
-  matrix shadow; each twist is a transvection moving one or two
-  columns).
+  matrix shadow).  ``moved_columns`` keeps the moved ``(k, column)``
+  pairs, of a dense matrix or of the twist moves abelianized.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import _kernels
 
@@ -147,11 +147,11 @@ def moved_words(images: Sequence[tuple[int, ...]]) -> tuple[tuple[int, tuple[int
 
 
 def moved_columns(
-    columns: Sequence[Sequence[int]],
+    columns: Iterable[tuple[int, Sequence[int]]],
 ) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The ``(k, combination)`` entries of a matrix whose column k is not e_k."""
-    out = []
-    for k, col in enumerate(columns):
-        if any(x != int(i == k) for i, x in enumerate(col)):
-            out.append((k, tuple((i, x) for i, x in enumerate(col) if x)))
-    return tuple(out)
+    """The ``(k, combination)`` entries of the ``(k, column)`` pairs whose column is not e_k."""
+    return tuple(
+        (k, tuple((i, x) for i, x in enumerate(col) if x))
+        for k, col in columns
+        if any(x != int(i == k) for i, x in enumerate(col))
+    )

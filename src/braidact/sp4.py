@@ -52,7 +52,6 @@ from typing import Mapping, Sequence
 from .action import GenusContext, braid_automorphism
 from .braids import NAMED_B6, BraidWord, artin_relations, braids_equal
 from .endo import Automorphism, Endomorphism
-from .errors import BraidactError
 from .matrices import IntMatrix
 from .report import PASS, QUOTIENT_PASS, VerificationReport, equal, merge_reports, run_checks
 from .symplectic import braid_matrix, column_table, fold_matrix, is_symplectic
@@ -128,18 +127,9 @@ def half_twist_matrix() -> IntMatrix:
     return IntMatrix(((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))
 
 
-def golden_columns(matrices: Sequence[IntMatrix]) -> dict:
-    """Fold table of 4 x 4 golden matrices; one outside Sp_4(Z), which
-    ``symplectic_inverse`` would not invert, raises BraidactError."""
-    for i, m in enumerate(matrices, 1):
-        if not is_symplectic(m, 2):
-            raise BraidactError(f"golden matrix {i} is not symplectic:\n{m}")
-    return column_table(matrices)
-
-
 @lru_cache(maxsize=None)
 def _golden_table() -> dict:
-    return golden_columns(crossing_matrices() + (half_twist_matrix(),))
+    return column_table(crossing_matrices() + (half_twist_matrix(),))
 
 
 def golden_product(letters: Sequence[int]) -> IntMatrix:

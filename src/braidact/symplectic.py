@@ -7,12 +7,12 @@ alternating form <a_i, b_i> = -<b_i, a_i> = 1, i.e. lands in Sp_2g(Z):
 into Sp_2g(Z)) and ``is_symplectic`` is the exact membership test
 M^T J M = J for the block form J = [[0, I], [-I, 0]].
 
-Every matrix word goes through one fold (``braidact.fold``): a
-``column_table`` keeps the columns each symplectic matrix, or its
-inverse -J M^T J (a signed transpose), moves, and ``fold_matrix``
-recomputes only those per letter.  ``braid_matrix`` folds over the
-twists (transvections moving one or two columns), abelianized once per
-genus; the genus-1 relation is a word pair folded over (A, B).
+Every matrix word goes through one fold (``braidact.fold``), and
+``fold_matrix`` recomputes only the columns each letter moves.
+``braid_matrix`` folds over the moves of ``twist_table``, abelianized
+(transvections moving one or two columns).  ``column_table`` checks
+dense matrices, such as the genus-1 pair (A, B), symplectic and keeps
+the columns each one, or its inverse -J M^T J (a signed transpose), moves.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import _kernels
-from .action import GenusContext, twist_automorphism
+from .action import GenusContext, twist_table
 from .braids import BraidWord
-from .errors import DimensionMismatchError, StrandMismatchError
+from .errors import BraidactError, DimensionMismatchError, StrandMismatchError
 from .fold import ColumnImages, fold, moved_columns
 from .matrices import IntMatrix
 from .report import VerificationReport, equal, run_checks
+from .words import FreeWord
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +79,7 @@ def symplectic_inverse(m: IntMatrix) -> IntMatrix:
     """The inverse -J m^T J of a matrix m in Sp_2g(Z).
 
     Entry (i, j) is s_i s_j m[p(j)][p(i)], with p(i) = i+g mod 2g and
-    s_i = 1 for i < g, -1 otherwise.  Only symplectic m have this
-    inverse; for any other matrix the result is not one.
+    s_i = 1 for i < g, -1 otherwise; for m outside Sp_2g(Z) it is no inverse.
     """
     g = _check_size(m, None)
     n = 2 * g
@@ -95,12 +95,14 @@ def symplectic_inverse(m: IntMatrix) -> IntMatrix:
 
 
 def column_table(matrices: Sequence[IntMatrix]) -> dict:
-    """Fold table: letter i moves the columns ``matrices[i - 1]`` moves,
-    -i those of its ``symplectic_inverse`` (the inverse only in Sp_2g(Z))."""
+    """Fold table: letter i moves the columns ``matrices[i - 1]`` moves, -i
+    those of its ``symplectic_inverse``; a matrix not in Sp_2g(Z) raises BraidactError."""
     moves = {}
     for i, m in enumerate(matrices, 1):
-        moves[i] = moved_columns(tuple(zip(*m.rows)))
-        moves[-i] = moved_columns(tuple(zip(*symplectic_inverse(m).rows)))
+        if not is_symplectic(m):
+            raise BraidactError(f"matrix {i} is not symplectic:\n{m}")
+        moves[i] = moved_columns(enumerate(zip(*m.rows)))
+        moves[-i] = moved_columns(enumerate(zip(*symplectic_inverse(m).rows)))
     return moves
 
 
@@ -115,16 +117,13 @@ def fold_matrix(table: dict, n: int, letters: Sequence[int]) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _twist_matrices(g: int) -> tuple[IntMatrix, ...]:
-    """The abelianized twists t_1..t_{2g+1}, computed once per genus."""
-    ctx = GenusContext(g)
-    return tuple(twist_automorphism(ctx, i).abelianization_matrix() for i in range(1, 2 * g + 2))
-
-
-@lru_cache(maxsize=None)
 def _twist_columns(g: int) -> dict:
-    """Fold table of the twist matrices: the columns each one moves."""
-    return column_table(_twist_matrices(g))
+    """Fold table of the abelianized twists: each forward and backward
+    move of ``twist_table(g)``, its image word abelianized to a column."""
+    return {
+        x: moved_columns((k, FreeWord(2 * g, word).abelianized()) for k, word in moves)
+        for x, moves in twist_table(g).moves.items()
+    }
 
 
 def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
@@ -156,7 +155,8 @@ def verify_symplectic_generators(genus_range=(1, 2, 3, 4)) -> VerificationReport
             m,
         )
         for g in genus_range
-        for i, m in enumerate(_twist_matrices(g), 1)
+        for i in range(1, 2 * g + 2)
+        for m in (fold_matrix(_twist_columns(g), 2 * g, (i,)),)
     ))
 
 

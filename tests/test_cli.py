@@ -468,16 +468,21 @@ CONSOLE = (
     ("equal", "1 2 1", "2 1 2"),
     ("verify", "relations", "--genus", "3"),
     ("verify", "all", "--genus", "2", "--json"),
+    ("--help",),
+    ("verify", "--help"),
 ])
 def test_a_closed_stdout_pipe_exits_141_quietly(argv):
     """With no reader left, exit 1 would read as a verdict: the command
-    exits 141, as a shell reports SIGPIPE, and writes nothing to stderr."""
+    exits 141, as a shell reports SIGPIPE, and writes nothing to stderr.
+    Stdout stays buffered, as in a terminal-less pipeline: unbuffered,
+    argparse swallows the failed write of --help and exits 0."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-c", CONSOLE, SRC, *argv],
-            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
         )
     finally:
         os.close(write_end)

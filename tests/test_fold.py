@@ -183,7 +183,7 @@ HAND_COLUMNS = {
 @pytest.mark.parametrize("letters", [(1, 2), (1, 2, 3), (3,), (2, 3, 3, 1)])
 def test_column_fold_matches_dense_product_of_hand_table(letters):
     rng = random.Random(SEED + len(letters))
-    table = {x: moved_columns(cols) for x, cols in HAND_COLUMNS.items()}
+    table = {x: moved_columns(enumerate(cols)) for x, cols in HAND_COLUMNS.items()}
     assert any(not combination for _, combination in table[3])
     assert any(c not in (1, -1) for _, comb in table[1] for _, c in comb)
     assert any(len(comb) == 3 for _, comb in table[2])
@@ -207,7 +207,7 @@ def test_two_move_step_evaluates_both_images_before_installing_either():
     # other's: installing the first before evaluating the second would
     # copy one generator into both.
     words = {1: moved_words(((2,), (1,)))}
-    columns = {1: moved_columns(((0, 1), (1, 0)))}
+    columns = {1: moved_columns(enumerate(((0, 1), (1, 0))))}
     assert len(words[1]) == len(columns[1]) == 2
     assert fold(WordImages(2, 10), words, (1,)).pos == [(2,), (1,)]
     assert fold(WordImages(2, 10), words, (1, 1)).pos == [(1,), (2,)]

@@ -216,13 +216,14 @@ def test_each_witness_and_its_lift_read_the_same_word():
     assert sp4.X_ALPHA.letters == sp4.BEHR["x_alpha"][1]
 
 
-def test_golden_table_rejects_a_non_symplectic_matrix():
-    crossings = sp4.crossing_matrices()
-    assert sp4.golden_columns(crossings)
+def test_column_table_rejects_a_non_symplectic_matrix():
+    golden = sp4.crossing_matrices() + (sp4.half_twist_matrix(),)
+    assert column_table(golden) == sp4._golden_table()
+    assert len(column_table(sl2_matrices())) == 4
     doubled = IntMatrix(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     assert not is_symplectic(doubled, 2)
-    with pytest.raises(BraidactError, match="golden matrix 3 is not symplectic"):
-        sp4.golden_columns(crossings[:2] + (doubled,))
+    with pytest.raises(BraidactError, match="^matrix 3 is not symplectic"):
+        column_table(golden[:2] + (doubled,) + golden[2:])
 
 
 def test_constant_braid_tables_are_built_once_and_read_only():

@@ -16,9 +16,12 @@ from braidact import (
     twist_automorphism,
     verify_symplectic_generators,
 )
-from braidact.fold import ColumnImages, fold
+from braidact import symplectic
+from braidact.endo import Endomorphism
+from braidact.fold import ColumnImages, fold, moved_columns
 from braidact.symplectic import (
     _twist_columns,
+    fold_matrix,
     random_braid,
     symplectic_inverse,
     verify_sl2_braid_relation,
@@ -150,6 +153,37 @@ def test_braid_matrix_adopts_the_fold_columns_as_exact_ints(g):
         columns = fold(ColumnImages(ctx.rank), _twist_columns(g), braid.letters).columns
         assert m == IntMatrix.from_columns(columns)
         assert_exact(m)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_twist_columns_match_the_dense_twist_matrices(g):
+    """The table abelianizes the twist moves; it equals the one read off
+    each abelianized twist automorphism and its adjugate inverse."""
+    ctx = GenusContext(g)
+    dense = {}
+    for i in range(1, ctx.strands):
+        m = twist_automorphism(ctx, i).abelianization_matrix()
+        dense[i] = moved_columns(enumerate(zip(*m.rows)))
+        dense[-i] = moved_columns(enumerate(zip(*m.inverse().rows)))
+    assert _twist_columns(g) == dense
+    assert all(1 <= len(moves) <= 2 for moves in dense.values())
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_each_twist_column_step_is_undone_by_its_inverse(g):
+    table = _twist_columns(g)
+    for i in range(1, 2 * g + 2):
+        for letters in ((i, -i), (-i, i)):
+            assert fold_matrix(table, 2 * g, letters) == IntMatrix.identity(2 * g), letters
+
+
+def test_twist_columns_are_built_without_a_dense_matrix(monkeypatch):
+    def dense(*args):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(Endomorphism, "abelianization_matrix", dense)
+    monkeypatch.setattr(symplectic, "symplectic_inverse", dense)
+    assert _twist_columns.__wrapped__(5) == _twist_columns(5)
 
 
 def assert_exact(m):
