@@ -49,7 +49,6 @@ from .symplectic import (
     is_symplectic,
     sl2_matrices,
     standard_form,
-    symplectic_inverse,
     verify_symplectic_generators,
 )
 from .words import FreeWord, format_word, parse_word
@@ -98,7 +97,6 @@ __all__ = [
     "sl2_matrices",
     "standard_form",
     "sturmian_g1",
-    "symplectic_inverse",
     "twist_automorphism",
     "verify_center_vanishes",
     "verify_symplectic_generators",

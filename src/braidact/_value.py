@@ -9,10 +9,21 @@ pickling, which fit in this class.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 from . import _kernels
 from .errors import MalformedWordError
+
+
+def exact_int(x, message: str) -> int:
+    """Outside data as an exact int (``operator.index``, so a bool counts
+    as 0 or 1); a float, a string or None raises TypeError with
+    ``message`` and the value, instead of being truncated or parsed."""
+    try:
+        return index(x)
+    except TypeError:
+        raise TypeError(f"{message}, got {x!r}") from None
 
 
 class Value:
@@ -56,14 +67,17 @@ class Word(Value):
     """A value of a size and a tuple of signed-integer letters.
 
     The concrete class names the two fields in its ``__slots__``, the
-    size first (``rank``, ``strands`` or ``g``).  Its ``_checked``
-    validates a size and raw letters and returns the letters to store.
+    size first (``rank``, ``strands`` or ``g``).  The size and each
+    letter go through ``exact_int``; the class's ``_checked`` then
+    validates them and returns the letters to store.
     """
 
     __slots__ = ()
 
     def __init__(self, size: int, letters: Iterable[int] = ()):
-        letters = self._checked(size, tuple(map(int, letters)))
+        size = exact_int(size, f"{self.__slots__[0]} must be an integer")
+        raw = tuple(exact_int(x, "letters must be integers") for x in letters)
+        letters = self._checked(size, raw)
         object.__setattr__(self, self.__slots__[0], size)
         object.__setattr__(self, "letters", letters)
 

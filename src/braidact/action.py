@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._value import Value
+from ._value import Value, exact_int
 from .braids import BraidWord, artin_relations
 from .endo import Automorphism, Endomorphism, GeneratorTable
 from .errors import MalformedWordError, StrandMismatchError
@@ -44,6 +44,7 @@ class GenusContext(Value):
     __slots__ = ("g",)
 
     def __init__(self, g: int):
+        g = exact_int(g, "genus must be an integer")
         if g < 1:
             raise MalformedWordError(f"genus must be >= 1, got {g}")
         object.__setattr__(self, "g", g)

@@ -150,10 +150,15 @@ def _run_suite(name: str, ctx: GenusContext, max_len: int, seed: int) -> Verific
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as one ``error:`` line on stderr
-    and exits 2, like every other usage error; its subparsers inherit it."""
+    and exits 2, like every other usage error, and lets a failed write
+    (argparse ignores one) reach ``main``; its subparsers inherit it."""
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"error: {message}\n")
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
 
 
 @lru_cache(maxsize=None)

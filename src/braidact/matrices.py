@@ -5,42 +5,33 @@ overflow silently.  The constructor takes integers only
 (``operator.index``): a float or a string entry raises TypeError
 instead of being truncated.  Determinants use the fraction-free Bareiss
 scheme.  Matrix words are not evaluated here: ``symplectic.fold_matrix``
-folds them column by column, inverting letters as -J M^T J
-(``symplectic.symplectic_inverse``).  ``inverse`` (the integer adjugate,
-unimodular matrices only, O(n^5)) is kept as an independent reference
-for that symplectic inverse.
+folds them column by column.  ``inverse`` (the integer adjugate,
+unimodular matrices only, O(n^5)) is the one matrix inverse:
+``symplectic.column_table`` reads each dense letter's inverse from it.
 
 One rule decides where entries are checked.  Entries that come from
-outside data are checked: ``IntMatrix(...)`` and ``from_columns`` put
-each one through ``operator.index`` and check that the shape is
-square.  A result that a method computes from ``IntMatrix`` values (a
-product, a transpose, a negation, the identity, a minor, an inverse) is
-already a square tuple of exact ints, so it is adopted unchecked
-through ``IntMatrix._wrap``.
+outside data are checked: ``IntMatrix(...)`` puts each one through
+``operator.index`` and checks that the shape is square.  A result that
+a method computes from ``IntMatrix`` values (a product, a transpose,
+the identity, a minor, an inverse) is already a square tuple of exact
+ints, so it is adopted unchecked through ``IntMatrix._wrap``.
 """
 
 from __future__ import annotations
 
-from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ._value import Value
+from ._value import Value, exact_int
 from .errors import DimensionMismatchError, NonUnimodularError
-
-
-def _entry(x) -> int:
-    """An entry as an exact int; a float, a string or None raises TypeError."""
-    try:
-        return index(x)
-    except TypeError:
-        raise TypeError(f"matrix entries must be integers, got {x!r}") from None
 
 
 class IntMatrix(Value):
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(_entry(x) for x in row) for row in rows)
+        rows = tuple(
+            tuple(exact_int(x, "matrix entries must be integers") for x in row) for row in rows
+        )
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatchError("matrix must be square")
@@ -68,13 +59,6 @@ class IntMatrix(Value):
             raise DimensionMismatchError(f"the identity needs size >= 0, got {n}")
         return cls._wrap(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        n = len(columns)
-        if any(len(col) != n for col in columns):
-            raise DimensionMismatchError(f"expected {n} columns of length {n}")
-        return cls(zip(*columns))
-
     def __getitem__(self, index: tuple[int, int]) -> int:
         i, j = index
         return self.rows[i][j]
@@ -93,9 +77,6 @@ class IntMatrix(Value):
                 for row in self.rows
             )
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._wrap(tuple(tuple(-x for x in row) for row in self.rows))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._wrap(tuple(zip(*self.rows)))

@@ -12,7 +12,8 @@ Every matrix word goes through one fold (``braidact.fold``), and
 ``braid_matrix`` folds over the moves of ``twist_table``, abelianized
 (transvections moving one or two columns).  ``column_table`` checks
 dense matrices, such as the genus-1 pair (A, B), symplectic and keeps
-the columns each one, or its inverse -J M^T J (a signed transpose), moves.
+the columns each one, or its inverse (``IntMatrix.inverse``, the exact
+adjugate), moves.
 """
 
 from __future__ import annotations
@@ -75,34 +76,15 @@ def is_symplectic(m: IntMatrix, g: int | None = None) -> bool:
     return m.transpose() * form_m == standard_form(g)
 
 
-def symplectic_inverse(m: IntMatrix) -> IntMatrix:
-    """The inverse -J m^T J of a matrix m in Sp_2g(Z).
-
-    Entry (i, j) is s_i s_j m[p(j)][p(i)], with p(i) = i+g mod 2g and
-    s_i = 1 for i < g, -1 otherwise; for m outside Sp_2g(Z) it is no inverse.
-    """
-    g = _check_size(m, None)
-    n = 2 * g
-    rows = m.rows
-    sign = (1,) * g + (-1,) * g
-    p = tuple((i + g) % n for i in range(n))
-    return IntMatrix._wrap(
-        tuple(
-            tuple(sign[i] * sign[j] * rows[p[j]][p[i]] for j in range(n))
-            for i in range(n)
-        )
-    )
-
-
 def column_table(matrices: Sequence[IntMatrix]) -> dict:
     """Fold table: letter i moves the columns ``matrices[i - 1]`` moves, -i
-    those of its ``symplectic_inverse``; a matrix not in Sp_2g(Z) raises BraidactError."""
+    those of its adjugate inverse; a matrix not in Sp_2g(Z) raises BraidactError."""
     moves = {}
     for i, m in enumerate(matrices, 1):
         if not is_symplectic(m):
             raise BraidactError(f"matrix {i} is not symplectic:\n{m}")
         moves[i] = moved_columns(enumerate(zip(*m.rows)))
-        moves[-i] = moved_columns(enumerate(zip(*symplectic_inverse(m).rows)))
+        moves[-i] = moved_columns(enumerate(zip(*m.inverse().rows)))
     return moves
 
 

@@ -464,19 +464,29 @@ CONSOLE = (
 )
 
 
-@pytest.mark.parametrize("argv", [
+CLOSED_PIPE_ARGVS = (
     ("equal", "1 2 1", "2 1 2"),
     ("verify", "relations", "--genus", "3"),
     ("verify", "all", "--genus", "2", "--json"),
     ("--help",),
     ("verify", "--help"),
+)
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    pytest.param(argv, unbuffered, id=f"argv{i}" + ("-unbuffered" if unbuffered else ""))
+    for unbuffered in (None, "1")
+    for i, argv in enumerate(CLOSED_PIPE_ARGVS)
 ])
-def test_a_closed_stdout_pipe_exits_141_quietly(argv):
+def test_a_closed_stdout_pipe_exits_141_quietly(argv, unbuffered):
     """With no reader left, exit 1 would read as a verdict: the command
     exits 141, as a shell reports SIGPIPE, and writes nothing to stderr.
-    Stdout stays buffered, as in a terminal-less pipeline: unbuffered,
-    argparse swallows the failed write of --help and exits 0."""
+    Stdout may be buffered, as in a terminal-less pipeline, or unbuffered
+    (``PYTHONUNBUFFERED=1``), where --help meets the closed pipe inside
+    argparse's own write."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -21,7 +21,7 @@ from braidact import (
     artin_action,
     braid_automorphism,
     braid_matrix,
-    symplectic_inverse,
+    standard_form,
     twist_automorphism,
 )
 from braidact import _kernels, monoid
@@ -102,10 +102,13 @@ def test_braid_matrix_matches_dense_product_and_word_fold(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_symplectic_inverse_equals_adjugate_inverse(g):
+    """The adjugate inverse of a symplectic matrix M is -J M^T J."""
+    j = standard_form(g)
+    minus_j = IntMatrix([[-x for x in row] for row in j.rows])
     pos, neg = twist_matrices(g)
     for m, adjugate in zip(pos, neg):
-        assert symplectic_inverse(m) == adjugate
-        assert symplectic_inverse(m) * m == IntMatrix.identity(2 * g)
+        assert minus_j * m.transpose() * j == adjugate
+        assert adjugate * m == IntMatrix.identity(2 * g)
 
 
 def test_fold_cap_trips_mid_fold():
@@ -190,9 +193,9 @@ def test_column_fold_matches_dense_product_of_hand_table(letters):
     for word in [letters] + [tuple(rng.choice((1, 2, 3)) for _ in range(7)) for _ in range(20)]:
         dense = IntMatrix.identity(4)
         for x in word:
-            dense = dense * IntMatrix.from_columns(HAND_COLUMNS[x])
+            dense = dense * IntMatrix(zip(*HAND_COLUMNS[x]))
         images = fold(ColumnImages(4), table, word)
-        assert IntMatrix.from_columns(images.columns) == dense
+        assert IntMatrix(zip(*images.columns)) == dense
 
 
 def test_empty_combination_is_the_zero_column():

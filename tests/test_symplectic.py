@@ -16,14 +16,14 @@ from braidact import (
     twist_automorphism,
     verify_symplectic_generators,
 )
-from braidact import symplectic
+from braidact import sp4
 from braidact.endo import Endomorphism
 from braidact.fold import ColumnImages, fold, moved_columns
 from braidact.symplectic import (
     _twist_columns,
+    column_table,
     fold_matrix,
     random_braid,
-    symplectic_inverse,
     verify_sl2_braid_relation,
     verify_symplectic_random,
 )
@@ -31,11 +31,15 @@ from braidact.symplectic import (
 SEED = 0x51AB
 
 
+def negated(m):
+    return IntMatrix([[-x for x in row] for row in m.rows])
+
+
 def test_standard_form_properties():
     for g in (1, 2, 3):
         j = standard_form(g)
-        assert j.transpose() == -j
-        assert j * j == -IntMatrix.identity(2 * g)
+        assert j.transpose() == negated(j)
+        assert j * j == negated(IntMatrix.identity(2 * g))
 
 
 def test_is_symplectic_examples():
@@ -151,7 +155,7 @@ def test_braid_matrix_adopts_the_fold_columns_as_exact_ints(g):
         braid = random_braid(rng, ctx.strands, rng.randrange(30))
         m = braid_matrix(ctx, braid)
         columns = fold(ColumnImages(ctx.rank), _twist_columns(g), braid.letters).columns
-        assert m == IntMatrix.from_columns(columns)
+        assert m == IntMatrix(zip(*columns))
         assert_exact(m)
 
 
@@ -169,12 +173,24 @@ def test_twist_columns_match_the_dense_twist_matrices(g):
     assert all(1 <= len(moves) <= 2 for moves in dense.values())
 
 
-@pytest.mark.parametrize("g", range(1, 9))
-def test_each_twist_column_step_is_undone_by_its_inverse(g):
-    table = _twist_columns(g)
-    for i in range(1, 2 * g + 2):
+def fold_table(name):
+    """A fold table, its matrix size and its letter count: the twists at
+    genus ``name``, or the dense golden or sl2 table, whose inverse
+    letters come from the adjugate."""
+    if name == "golden":
+        return sp4._golden_table(), 4, 6
+    if name == "sl2":
+        return column_table(sl2_matrices()), 2, 2
+    return _twist_columns(name), 2 * name, 2 * name + 1
+
+
+@pytest.mark.parametrize("name", [*range(1, 9), "golden", "sl2"])
+def test_each_twist_column_step_is_undone_by_its_inverse(name):
+    table, n, count = fold_table(name)
+    assert set(table) == {s * i for i in range(1, count + 1) for s in (1, -1)}
+    for i in range(1, count + 1):
         for letters in ((i, -i), (-i, i)):
-            assert fold_matrix(table, 2 * g, letters) == IntMatrix.identity(2 * g), letters
+            assert fold_matrix(table, n, letters) == IntMatrix.identity(n), letters
 
 
 def test_twist_columns_are_built_without_a_dense_matrix(monkeypatch):
@@ -182,7 +198,7 @@ def test_twist_columns_are_built_without_a_dense_matrix(monkeypatch):
         raise AssertionError("a dense matrix was built")
 
     monkeypatch.setattr(Endomorphism, "abelianization_matrix", dense)
-    monkeypatch.setattr(symplectic, "symplectic_inverse", dense)
+    monkeypatch.setattr(IntMatrix, "inverse", dense)
     assert _twist_columns.__wrapped__(5) == _twist_columns(5)
 
 
@@ -216,7 +232,7 @@ def test_symplectic_results_are_exact(g):
     rng = random.Random(SEED - g)
     ctx = GenusContext(g)
     m = braid_matrix(ctx, random_braid(rng, ctx.strands, 30))
-    inverse = symplectic_inverse(m)
+    inverse = m.inverse()
     assert_exact(inverse)
     assert m * inverse == IntMatrix.identity(2 * g)
     for i in range(1, ctx.strands):

@@ -16,6 +16,7 @@ from braidact import (
     format_word,
     parse_word,
 )
+from braidact.monoid import OmegaWord
 
 SEED = 0xC0FFEE
 
@@ -189,3 +190,36 @@ def test_values_are_immutable_hashable_and_picklable():
             value.rank = 0
     assert FreeWord(2, (1,)) != BraidWord(2, (1,))
     assert repr(GenusContext(3)) == "GenusContext(g=3)"
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.5, "2"], ids=["integral-float", "float", "str"])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda bad: FreeWord(4, (1, bad)), "letters must be integers"),
+        (lambda bad: FreeWord(bad, ()), "rank must be an integer"),
+        (lambda bad: BraidWord(6, (bad, 2)), "letters must be integers"),
+        (lambda bad: BraidWord(bad, (1,)), "strands must be an integer"),
+        (lambda bad: OmegaWord(2, (1, bad)), "letters must be integers"),
+        (lambda bad: OmegaWord(bad, ()), "g must be an integer"),
+        (lambda bad: GenusContext(bad), "genus must be an integer"),
+    ],
+    ids=["free-letter", "free-rank", "braid-letter", "braid-strands", "omega-letter",
+         "omega-genus", "genus"],
+)
+def test_words_and_sizes_from_outside_are_exact_ints(build, message, bad):
+    """A float is not truncated and a string is not parsed: each raises
+    TypeError naming the value, as a matrix entry does."""
+    with pytest.raises(TypeError, match=f"^{message}, got {bad!r}$"):
+        build(bad)
+
+
+def test_bool_letters_and_sizes_count_as_ints():
+    """As in ``IntMatrix``, a bool is the int 0 or 1, stored as an int."""
+    word = FreeWord(True, (True, True))
+    assert word == FreeWord(1, (1, 1))
+    assert type(word.rank) is int and all(type(x) is int for x in word.letters)
+    assert BraidWord(3, (True, 2)).letters == (1, 2)
+    assert type(BraidWord(3, (True,)).letters[0]) is int
+    assert GenusContext(True) == GenusContext(1)
+    assert type(GenusContext(True).g) is int
