@@ -11,9 +11,10 @@ them):
     t_{2i+1}:  b_i -> b_i a_i a_{i+1}^{-1},
                b_{i+1} -> a_{i+1} a_i^{-1} b_{i+1}       (1 <= i <= g-1)
 
-with all unnamed generators fixed.  ``_twist`` spells each twist once,
-as its sparse moves and their inverses, and ``twist_table`` hands them
-to a ``GeneratorTable``, which checks each pair once.  The twists
+with all unnamed generators fixed.  ``_twist`` writes each twist once,
+as its sparse moves and their inverses in the a/b grammar of
+``parse_word`` (``("b1", "a1 b1")`` for t_1), and ``twist_table`` hands
+them to a ``GeneratorTable``, which checks each pair once.  The twists
 satisfy the braid relations (``verify_u_braid_relations`` folds both
 sides of every row of ``braids.artin_relations`` over ``twist_table``),
 so the assignment extends to a homomorphism from the braid group into
@@ -35,7 +36,7 @@ from .braids import BraidWord, artin_relations
 from .endo import Automorphism, Endomorphism, GeneratorTable
 from .errors import MalformedWordError, StrandMismatchError
 from .report import VerificationReport, equal, run_checks
-from .words import FreeWord
+from .words import parse_word
 
 
 class GenusContext(Value):
@@ -57,39 +58,41 @@ class GenusContext(Value):
     def strands(self) -> int:
         return 2 * self.g + 2
 
-    def a(self, i: int, sign: int = 1) -> FreeWord:
-        """The generator a_i (index i)."""
-        if not 1 <= i <= self.g:
-            raise MalformedWordError(f"a_{i} does not exist at genus {self.g}")
-        return FreeWord.generator(self.rank, i, sign)
+    def crossings(self, braid: BraidWord) -> tuple[int, ...]:
+        """The letters of a braid that acts at this genus, one on 2g+2
+        strands; StrandMismatchError for any other strand count."""
+        if braid.strands != self.strands:
+            raise StrandMismatchError(
+                f"braid on {braid.strands} strands does not act at genus {self.g}"
+                f" (need {self.strands})"
+            )
+        return braid.letters
 
-    def b(self, i: int, sign: int = 1) -> FreeWord:
-        """The generator b_i (index g+i)."""
-        if not 1 <= i <= self.g:
-            raise MalformedWordError(f"b_{i} does not exist at genus {self.g}")
-        return FreeWord.generator(self.rank, self.g + i, sign)
 
-    def word(self, *codes: int) -> FreeWord:
-        return FreeWord(self.rank, codes)
+def _moves(rank: int, *moves: tuple[str, str]) -> tuple:
+    """Each ``(generator, image)`` move, both written in the a/b grammar,
+    as the (0-based index, reduced letters) pair a ``GeneratorTable`` reads."""
+    return tuple(
+        (parse_word(x, rank).letters[0] - 1, parse_word(image, rank).letters)
+        for x, image in moves
+    )
 
 
 def _twist(g: int, index: int) -> tuple[tuple, tuple]:
-    """The (forward, backward) moves of t_index at genus g: the 0-based
-    index and image of each generator it moves, as in the formulas above."""
-    a = lambda i: i
-    b = lambda i: g + i
-    move = lambda k, *image: (k - 1, image)
+    """The (forward, backward) moves of t_index at genus g, written as in
+    the formulas above."""
+    rank = 2 * g
     if index == 1:
-        return (move(b(1), a(1), b(1)),), (move(b(1), -a(1), b(1)),)
-    if index == 2 * g + 1:
-        return (move(b(g), b(g), a(g)),), (move(b(g), b(g), -a(g)),)
+        return _moves(rank, ("b1", "a1 b1")), _moves(rank, ("b1", "A1 b1"))
+    if index == rank + 1:
+        return _moves(rank, (f"b{g}", f"b{g} a{g}")), _moves(rank, (f"b{g}", f"b{g} A{g}"))
     if index % 2 == 0:
         i = index // 2
-        return (move(a(i), -b(i), a(i)),), (move(a(i), b(i), a(i)),)
-    i = (index - 1) // 2
+        return _moves(rank, (f"a{i}", f"B{i} a{i}")), _moves(rank, (f"a{i}", f"b{i} a{i}"))
+    i, j = index // 2, index // 2 + 1
     return (
-        (move(b(i), b(i), a(i), -a(i + 1)), move(b(i + 1), a(i + 1), -a(i), b(i + 1))),
-        (move(b(i), b(i), a(i + 1), -a(i)), move(b(i + 1), a(i), -a(i + 1), b(i + 1))),
+        _moves(rank, (f"b{i}", f"b{i} a{i} A{j}"), (f"b{j}", f"a{j} A{i} b{j}")),
+        _moves(rank, (f"b{i}", f"b{i} a{j} A{i}"), (f"b{j}", f"a{i} A{j} b{j}")),
     )
 
 
@@ -116,12 +119,7 @@ def braid_automorphism(ctx: GenusContext, braid: BraidWord) -> Automorphism:
     convention; this is the unique order under which the image of the
     descending cycle matches its closed form.
     """
-    if braid.strands != ctx.strands:
-        raise StrandMismatchError(
-            f"braid on {braid.strands} strands does not act at genus {ctx.g}"
-            f" (need {ctx.strands})"
-        )
-    return twist_table(ctx.g).automorphism(braid.letters)
+    return twist_table(ctx.g).automorphism(ctx.crossings(braid))
 
 
 def descending_cycle(ctx: GenusContext) -> BraidWord:
@@ -136,12 +134,11 @@ def sturmian_g1() -> dict[str, Automorphism]:
     G~: (a,b) -> (a,ba), D~: (a,b) -> (ab,b).
     The genus-1 twists are t_1 = G, t_2 = D^{-1}, t_3 = G~.
     """
-    a, b = 0, 1  # the 0-based index of the generator each one moves
     table = GeneratorTable(2, [
-        (((b, (1, 2)),), ((b, (-1, 2)),)),  # G
-        (((a, (2, 1)),), ((a, (-2, 1)),)),  # D
-        (((b, (2, 1)),), ((b, (2, -1)),)),  # G~
-        (((a, (1, 2)),), ((a, (1, -2)),)),  # D~
+        (_moves(2, ("b1", "a1 b1")), _moves(2, ("b1", "A1 b1"))),  # G
+        (_moves(2, ("a1", "b1 a1")), _moves(2, ("a1", "B1 a1"))),  # D
+        (_moves(2, ("b1", "b1 a1")), _moves(2, ("b1", "b1 A1"))),  # G~
+        (_moves(2, ("a1", "a1 b1")), _moves(2, ("a1", "a1 B1"))),  # D~
     ])
     return {name: table.automorphism((i,)) for i, name in enumerate(("G", "D", "Gt", "Dt"), 1)}
 
@@ -177,14 +174,9 @@ def _cycle_image_closed_form(ctx: GenusContext) -> Endomorphism:
     a_i -> (b_1 ... b_i)^{-1};  b_i -> a_i a_{i+1}^{-1} for i < g, a_g for i = g.
     """
     g = ctx.g
-    images = {}
-    for i in range(1, g + 1):
-        images[i] = FreeWord(ctx.rank, tuple(g + k for k in range(1, i + 1))).inverse()
-        if i != g:
-            images[g + i] = ctx.word(i, -(i + 1))
-        else:
-            images[g + i] = ctx.a(g)
-    return Endomorphism.from_image_map(ctx.rank, images)
+    a = [" ".join(f"B{k}" for k in range(i, 0, -1)) for i in range(1, g + 1)]
+    b = [f"a{i} A{i + 1}" for i in range(1, g)] + [f"a{g}"]
+    return Endomorphism(ctx.rank, [parse_word(w, ctx.rank) for w in a + b])
 
 
 def _cycle_square_closed_form(ctx: GenusContext) -> Endomorphism:
@@ -194,15 +186,9 @@ def _cycle_square_closed_form(ctx: GenusContext) -> Endomorphism:
     b_i -> b_{i+1} for i < g, (b_1 ... b_g)^{-1} for i = g.
     """
     g = ctx.g
-    images = {}
-    for i in range(1, g + 1):
-        if i != g:
-            images[i] = ctx.word(i + 1, -1)
-            images[g + i] = ctx.b(i + 1)
-        else:
-            images[i] = ctx.a(1, -1)
-            images[g + i] = FreeWord(ctx.rank, tuple(range(g + 1, 2 * g + 1))).inverse()
-    return Endomorphism.from_image_map(ctx.rank, images)
+    a = [f"a{i + 1} A1" for i in range(1, g)] + ["A1"]
+    b = [f"b{i + 1}" for i in range(1, g)] + [" ".join(f"B{k}" for k in range(g, 0, -1))]
+    return Endomorphism(ctx.rank, [parse_word(w, ctx.rank) for w in a + b])
 
 
 def verify_center_vanishes(ctx: GenusContext) -> VerificationReport:

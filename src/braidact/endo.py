@@ -66,16 +66,6 @@ class Endomorphism:
     def identity(cls, rank: int) -> "Endomorphism":
         return cls(rank, tuple(FreeWord.generator(rank, k) for k in range(1, rank + 1)))
 
-    @classmethod
-    def from_image_map(cls, rank: int, images: dict[int, FreeWord]) -> "Endomorphism":
-        """Identity on every generator except those listed in ``images``."""
-        return Endomorphism(
-            rank,
-            tuple(
-                images.get(k, FreeWord.generator(rank, k)) for k in range(1, rank + 1)
-            ),
-        )
-
     @property
     def images(self) -> tuple[FreeWord, ...]:
         return tuple(FreeWord._wrap(self.rank, w) for w in self._pos)

@@ -55,7 +55,7 @@ from .endo import Automorphism, Endomorphism
 from .matrices import IntMatrix
 from .report import PASS, QUOTIENT_PASS, VerificationReport, equal, merge_reports, run_checks
 from .symplectic import braid_matrix, column_table, fold_matrix, is_symplectic
-from .words import FreeWord
+from .words import FreeWord, parse_word
 
 G2 = GenusContext(2)
 
@@ -268,17 +268,14 @@ def alpha_square_action() -> Automorphism:
     return braid_automorphism(G2, ALPHA ** 2)
 
 
-def _alpha_square_reference_images() -> dict[int, FreeWord]:
-    """Reference images of a2 (index 2) and b2 (index 4) under the alpha^2 action.
+def _alpha_square_reference_images() -> dict[str, FreeWord]:
+    """Reference images of a2 and b2 under the alpha^2 action.
 
     a2 -> (a2^-1 b2 a2 b2^-1) a2 (a2^-1 b2 a2 b2^-1)^-1
     b2 -> (a2^-1 b2 a2) b2 (a2^-1 b2 a2)^-1
     """
-    c1 = FreeWord(4, (-2, 4, 2, -4))
-    c2 = FreeWord(4, (-2, 4, 2))
-    a2 = FreeWord.generator(4, 2)
-    b2 = FreeWord.generator(4, 4)
-    return {2: c1 * a2 * c1.inverse(), 4: c2 * b2 * c2.inverse()}
+    conjugators = {"a2": parse_word("A2 b2 a2 B2", 4), "b2": parse_word("A2 b2 a2", 4)}
+    return {x: c * parse_word(x, 4) * c.inverse() for x, c in conjugators.items()}
 
 
 def verify_kernel_generators() -> VerificationReport:
@@ -311,9 +308,9 @@ def verify_kernel_generators() -> VerificationReport:
         ("sp4.kernel.alpha-square-fixes-b1", "the alpha^2 action fixes b1",
          act.fixes(3), act.images[2]),
         ("sp4.kernel.alpha-square-image-a2", "alpha^2 action on a2 matches the recorded conjugate",
-         *equal(act.images[1], reference[2])),
+         *equal(act.images[1], reference["a2"])),
         ("sp4.kernel.alpha-square-image-b2", "alpha^2 action on b2 matches the recorded conjugate",
-         *equal(act.images[3], reference[4])),
+         *equal(act.images[3], reference["b2"])),
         ("sp4.kernel.alpha-square-nontrivial", "the alpha^2 action is not the identity",
          not act.is_identity()),
         ("sp4.kernel.alpha-square-non-inner",

@@ -25,7 +25,7 @@ from typing import Sequence
 from . import _kernels
 from .action import GenusContext, twist_table
 from .braids import BraidWord
-from .errors import BraidactError, DimensionMismatchError, StrandMismatchError
+from .errors import BraidactError, DimensionMismatchError
 from .fold import ColumnImages, fold, moved_columns
 from .matrices import IntMatrix
 from .report import VerificationReport, equal, run_checks
@@ -114,12 +114,7 @@ def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
     Functorially equal to abelianizing the braid's automorphism, and to
     the product of the generator matrices, folded over the twist table.
     """
-    if braid.strands != ctx.strands:
-        raise StrandMismatchError(
-            f"braid on {braid.strands} strands does not act at genus {ctx.g}"
-            f" (need {ctx.strands})"
-        )
-    return fold_matrix(_twist_columns(ctx.g), ctx.rank, braid.letters)
+    return fold_matrix(_twist_columns(ctx.g), ctx.rank, ctx.crossings(braid))
 
 
 def sl2_matrices() -> tuple[IntMatrix, IntMatrix]:

@@ -4,7 +4,10 @@ Letters are encoded as nonzero signed integers (the Tietze convention):
 ``+k`` is the k-th generator and ``-k`` its inverse.  For a group of
 even rank 2g the generators carry the names ``a1..ag, b1..bg`` in that
 order, so ``a_i`` has index ``i`` and ``b_i`` has index ``g+i``; this is
-also the basis order used for abelianized matrices.
+also the basis order used for abelianized matrices.  ``parse_word``
+reads and ``format_word`` writes this a/b grammar (``a1 B2``, uppercase
+for inverses); every word the package spells by hand, such as a twist
+move or a closed form, is a string in it.
 
 Words reduce at construction and stay reduced, so equality of group
 elements is plain sequence equality.  All values are immutable.

@@ -45,9 +45,12 @@ def dense_word_composite(generator, rank, letters):
 
 def artin_generator(n, i):
     """x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i, with its inverse."""
+    def images(moved):
+        return Endomorphism(n, [FreeWord(n, moved.get(k, (k,))) for k in range(1, n + 1)])
+
     return Automorphism(
-        Endomorphism.from_image_map(n, {i: FreeWord(n, (i, i + 1, -i)), i + 1: FreeWord(n, (i,))}),
-        Endomorphism.from_image_map(n, {i: FreeWord(n, (i + 1,)), i + 1: FreeWord(n, (-(i + 1), i, i + 1))}),
+        images({i: (i, i + 1, -i), i + 1: (i,)}),
+        images({i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}),
     )
 
 
