@@ -23,7 +23,7 @@ The same loop serves two kinds of image:
 - ``ColumnImages``: integer column vectors, where a step replaces the
   moved columns with integer combinations of the current ones (the
   matrix shadow).  ``moved_columns`` keeps the moved ``(k, column)``
-  pairs, of a dense matrix or of the twist moves abelianized.
+  pairs of the twist moves abelianized.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ overflow silently.  The constructor takes integers only
 instead of being truncated.  Determinants use the fraction-free Bareiss
 scheme.  Matrix words are not evaluated here: ``symplectic.fold_matrix``
 folds them column by column.  ``inverse`` (the integer adjugate,
-unimodular matrices only, O(n^5)) is the one matrix inverse:
-``symplectic.column_table`` reads each dense letter's inverse from it.
+unimodular matrices only, O(n^5)) is the one matrix inverse; no
+command calls it, since inverse letters come from the twist table.
 
 One rule decides where entries are checked.  Entries that come from
 outside data are checked: ``IntMatrix(...)`` puts each one through

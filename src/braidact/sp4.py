@@ -31,10 +31,10 @@ passes only at quotient level (``QUOTIENT_PASS``).  Each suite turns its
 tables into check rows and hands them to ``report.run_checks``, which
 applies the pass and witness rules.  Matrix words go
 through the one fold of ``symplectic``: the golden matrices (M1..M5 of
-the crossings, MDelta of the half twist), checked symplectic once, form
-one fold table.  ``BEHR`` holds each Behr generator as one row (its
-spelling, its word over that table, its matrix), ``presentation_relations``
-the 14 relations as word pairs over it: the ten of
+the crossings, MDelta of the half twist) are checked once against the
+images of s1..s5 and Delta, so golden words fold as braids.  ``BEHR``
+holds each Behr generator as one row (spelling, golden word, matrix),
+``presentation_relations`` the 14 relations as word pairs: the ten of
 ``braids.artin_relations(6)`` and four extra ones.  ``gamma_elements``
 maps the seven lifted relators, gamma1 to gamma17, by name to braids.
 
@@ -54,7 +54,7 @@ from .braids import NAMED_B6, BraidWord, artin_relations, braids_equal
 from .endo import Automorphism, Endomorphism
 from .matrices import IntMatrix
 from .report import PASS, QUOTIENT_PASS, VerificationReport, equal, merge_reports, run_checks
-from .symplectic import braid_matrix, column_table, fold_matrix, is_symplectic
+from .symplectic import braid_matrix, check_images, is_symplectic
 from .words import FreeWord, parse_word
 
 G2 = GenusContext(2)
@@ -74,8 +74,8 @@ FULL_TWIST = DELTA ** 2
 
 # Behr's generators, one row each: name -> (spelling, word, matrix), the
 # word over the golden letters (1-5 are M1..M5, 6 is MDelta).  The
-# witnesses fold it over the golden matrices; the lifts read it as a
-# braid, with letter 6 expanded to DELTA.
+# witnesses and the lifts read it as a braid, with letter 6 expanded to
+# DELTA.
 HALF_TWIST_LETTER = 6
 BEHR: Mapping[str, tuple[str, tuple[int, ...], IntMatrix]] = MappingProxyType({
     "x_beta": (
@@ -127,23 +127,29 @@ def half_twist_matrix() -> IntMatrix:
     return IntMatrix(((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))
 
 
+def _golden_braid(letters: Sequence[int]) -> BraidWord:
+    """A word over the golden letters read as a braid: letter 6 is DELTA."""
+    expand = {HALF_TWIST_LETTER: DELTA.letters}
+    return BraidWord(6, tuple(y for x in letters for y in expand.get(x, (x,))))
+
+
 @lru_cache(maxsize=None)
-def _golden_table() -> dict:
-    return column_table(crossing_matrices() + (half_twist_matrix(),))
+def _check_golden() -> None:
+    check_images(
+        G2, crossing_matrices() + (half_twist_matrix(),), [_b6(i) for i in range(1, 6)] + [DELTA]
+    )
 
 
 def golden_product(letters: Sequence[int]) -> IntMatrix:
-    """A word over the golden letters, folded over the golden matrices."""
-    return fold_matrix(_golden_table(), 4, letters)
+    """The product of the golden matrices a word names: its braid's image,
+    once the first call has checked each golden matrix (else BraidactError)."""
+    _check_golden()
+    return braid_matrix(G2, _golden_braid(letters))
 
 
 def lift_table() -> dict[str, BraidWord]:
     """Braid lifts of Behr's generators (abelianizing a lift recovers its matrix)."""
-    expand = {HALF_TWIST_LETTER: DELTA.letters}
-    return {
-        name: BraidWord(6, tuple(y for x in word for y in expand.get(x, (x,))))
-        for name, (_, word, _) in BEHR.items()
-    }
+    return {name: _golden_braid(word) for name, (_, word, _) in BEHR.items()}
 
 
 @lru_cache(maxsize=None)

@@ -7,13 +7,12 @@ alternating form <a_i, b_i> = -<b_i, a_i> = 1, i.e. lands in Sp_2g(Z):
 into Sp_2g(Z)) and ``is_symplectic`` is the exact membership test
 M^T J M = J for the block form J = [[0, I], [-I, 0]].
 
-Every matrix word goes through one fold (``braidact.fold``), and
-``fold_matrix`` recomputes only the columns each letter moves.
-``braid_matrix`` folds over the moves of ``twist_table``, abelianized
-(transvections moving one or two columns).  ``column_table`` checks
-dense matrices, such as the genus-1 pair (A, B), symplectic and keeps
-the columns each one, or its inverse (``IntMatrix.inverse``, the exact
-adjugate), moves.
+Every matrix word goes through one fold (``braidact.fold``) over one
+table per genus, the moves of ``twist_table`` abelianized (transvections
+moving one or two columns); ``fold_matrix`` recomputes only the columns
+each letter moves.  Recorded matrices, such as the genus-1 pair (A, B),
+are checked once by ``check_images`` to be the images of their braids,
+and their words are then folded as braid words.
 """
 
 from __future__ import annotations
@@ -54,38 +53,18 @@ def standard_form(g: int) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-def _check_size(m: IntMatrix, g: int | None) -> int:
-    if g is None:
-        if m.dim % 2:
-            raise DimensionMismatchError(f"symplectic matrices have even size, got {m.dim}")
-        return m.dim // 2
-    if m.dim != 2 * g:
-        raise DimensionMismatchError(f"expected size {2 * g}, got {m.dim}")
-    return g
-
-
-def is_symplectic(m: IntMatrix, g: int | None = None) -> bool:
-    """True iff  m^T J m = J  for the standard alternating form.
+def is_symplectic(m: IntMatrix, g: int) -> bool:
+    """True iff  m^T J m = J  for the standard alternating form of genus g;
+    a matrix not of size 2g raises DimensionMismatchError.
 
     J is a signed row permutation, (J m)[i] = m[g+i] for i < g and
     -m[i-g] for i >= g, so only m^T (J m) is a real product.
     """
-    g = _check_size(m, g)
+    if m.dim != 2 * g:
+        raise DimensionMismatchError(f"expected size {2 * g}, got {m.dim}")
     rows = m.rows
     form_m = IntMatrix._wrap(rows[g:] + tuple(tuple(-x for x in row) for row in rows[:g]))
     return m.transpose() * form_m == standard_form(g)
-
-
-def column_table(matrices: Sequence[IntMatrix]) -> dict:
-    """Fold table: letter i moves the columns ``matrices[i - 1]`` moves, -i
-    those of its adjugate inverse; a matrix not in Sp_2g(Z) raises BraidactError."""
-    moves = {}
-    for i, m in enumerate(matrices, 1):
-        if not is_symplectic(m):
-            raise BraidactError(f"matrix {i} is not symplectic:\n{m}")
-        moves[i] = moved_columns(enumerate(zip(*m.rows)))
-        moves[-i] = moved_columns(enumerate(zip(*m.inverse().rows)))
-    return moves
 
 
 def fold_matrix(table: dict, n: int, letters: Sequence[int]) -> IntMatrix:
@@ -115,6 +94,15 @@ def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
     the product of the generator matrices, folded over the twist table.
     """
     return fold_matrix(_twist_columns(ctx.g), ctx.rank, ctx.crossings(braid))
+
+
+def check_images(
+    ctx: GenusContext, matrices: Sequence[IntMatrix], braids: Sequence[BraidWord]
+) -> None:
+    """Raise BraidactError naming matrix i unless it is the image of braid i."""
+    for i, (m, braid) in enumerate(zip(matrices, braids), 1):
+        if braid_matrix(ctx, braid) != m:
+            raise BraidactError(f"matrix {i} is not the image of braid {i} at genus {ctx.g}")
 
 
 def sl2_matrices() -> tuple[IntMatrix, IntMatrix]:
@@ -191,18 +179,21 @@ def verify_symplectic_random(
     ))
 
 
-SL2_BRAID_RELATION = ((1, -2, 1), (-2, 1, -2))
+# t1 t2 t1 = t2 t1 t2 at genus 1, where t1 abelianizes to A and t2 to B^-1.
+SL2_BRAID_RELATION = ((1, 2, 1), (2, 1, 2))
 
 
 def verify_sl2_braid_relation() -> VerificationReport:
-    """The genus-1 matrices satisfy A B^{-1} A = B^{-1} A B^{-1}, the word
-    pair ``SL2_BRAID_RELATION`` folded over (A, B)."""
-    table = column_table(sl2_matrices())
-    left, right = SL2_BRAID_RELATION
+    """The genus-1 matrices satisfy A B^{-1} A = B^{-1} A B^{-1}: A and B
+    are checked to be the images of s1 and s2^-1, and the word pair
+    ``SL2_BRAID_RELATION`` is folded as braids over the genus-1 twist table."""
+    ctx = GenusContext(1)
+    check_images(ctx, sl2_matrices(), (BraidWord(4, (1,)), BraidWord(4, (-2,))))
+    left, right = (braid_matrix(ctx, BraidWord(4, word)) for word in SL2_BRAID_RELATION)
     return run_checks("sl2-braid-relation", (
         (
             "symplectic.g1.sl2-braid-relation",
             "A B^-1 A = B^-1 A B^-1 for the genus-1 matrices",
-            *equal(fold_matrix(table, 2, left), fold_matrix(table, 2, right)),
+            *equal(left, right),
         ),
     ))

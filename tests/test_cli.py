@@ -250,7 +250,7 @@ malformed_command_lines = st.one_of(
 )
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(malformed_command_lines)
 def test_malformed_command_line_is_one_error_line(args):
     err = io.StringIO()
@@ -432,7 +432,7 @@ def exit_code_and_errors(args):
     return code, err.getvalue().splitlines()
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(command_lines)
 @example(["equal", "1 2 1", "2 1 2", "--strands", str(MAX_EQUAL_STRANDS)])
 @example(["equal", "1", "1", "--strands", str(MAX_EQUAL_STRANDS + 1)])

@@ -20,6 +20,7 @@ import sys
 
 import pytest
 
+from braidact import IntMatrix
 from braidact.cli import main
 
 DATA = pathlib.Path(__file__).with_name("data") / "cli_transcripts.json"
@@ -60,6 +61,17 @@ def recorded() -> dict:
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_command_reproduces_its_transcript(recorded, argv):
+    assert transcript(argv) == recorded[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_no_command_reaches_the_adjugate(recorded, monkeypatch, argv):
+    """Every matrix word folds over a twist table, so the transcripts hold
+    with the adjugate inverse gone."""
+    def adjugate(self):
+        raise AssertionError("IntMatrix.inverse was called")
+
+    monkeypatch.setattr(IntMatrix, "inverse", adjugate)
     assert transcript(argv) == recorded[tuple(argv)]
 
 

@@ -147,7 +147,7 @@ def square_rows(draw):
     return rows
 
 
-@settings(max_examples=600, derandomize=True, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(square_rows())
 def test_det_matches_fraction_elimination(rows):
     assert IntMatrix(rows).det() == fraction_det(rows)
@@ -211,7 +211,7 @@ def square_pairs(draw):
     return tuple([[draw(SIGNED) for _ in range(n)] for _ in range(n)] for _ in range(2))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(square_pairs())
 def test_mul_matches_a_naive_triple_loop(pair):
     x, y = pair

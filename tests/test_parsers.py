@@ -200,7 +200,7 @@ omega_texts = texts(
 )
 
 
-@settings(max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(braid_texts, st.sampled_from((6, 6, 6, 6, 7, 10, 3, 2, 1, 0, -1)))
 def test_parse_braid_matches_the_regex_parser(text, strands):
     assert outcome(parse_braid, text, strands) == outcome(ref_parse_braid, text, strands)
@@ -217,7 +217,7 @@ def test_braid_tokens_that_int_reads_are_bad_tokens(token, text, strands):
     assert got[0] == "error" and got[2].startswith(f"bad token {token!r}")
 
 
-@settings(max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(
     st.one_of(word_texts, signed_word_texts),
     st.sampled_from((8, 8, 8, 6, 4, 2, 0, -2, 5, 5, 3, 1, -1)),
@@ -226,13 +226,13 @@ def test_parse_word_matches_the_regex_parser(text, rank):
     assert outcome(parse_word, text, rank) == outcome(ref_parse_word, text, rank)
 
 
-@settings(max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(omega_texts, st.sampled_from((4, 4, 4, 4, 3, 2, 1, 0, -1)))
 def test_parse_omega_matches_the_regex_parser(text, g):
     assert outcome(parse_omega, text, g) == outcome(ref_parse_omega, text, g)
 
 
-@settings(max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(
     st.lists(st.one_of(st.integers(-4, -1), st.integers(1, 4), st.integers(-12, 12)), max_size=10),
     st.sampled_from((8, 8, 6, 4, 4, 3, 2, 1, 0, -1)),

@@ -19,8 +19,8 @@ from braidact import (
     is_symplectic,
     sl2_matrices,
 )
-from braidact import sp4
-from braidact.symplectic import SL2_BRAID_RELATION, column_table, fold_matrix
+from braidact import cli, sp4
+from braidact.symplectic import SL2_BRAID_RELATION
 
 
 G2 = GenusContext(2)
@@ -196,11 +196,16 @@ def test_folded_words_equal_the_dense_golden_products():
         assert check.check_id == f"sp4.presentation.{name}"
         if check.status == "fail":
             assert check.witness == {"left": str(dense_left), "right": str(dense_right)}
+    # Over the genus-1 twists, letter 1 is A and letter 2 is B^-1.
     a, b = sl2_matrices()
+    twists = (a, b.inverse())
+    g1 = GenusContext(1)
     left, right = SL2_BRAID_RELATION
-    sl2_table = column_table((a, b))
-    assert fold_matrix(sl2_table, 2, left) == dense_product((a, b), left) == a * b.inverse() * a
-    assert fold_matrix(sl2_table, 2, right) == dense_product((a, b), right) == b.inverse() * a * b.inverse()
+    assert braid_matrix(g1, BraidWord(4, left)) == dense_product(twists, left) == a * b.inverse() * a
+    assert (
+        braid_matrix(g1, BraidWord(4, right)) == dense_product(twists, right)
+        == b.inverse() * a * b.inverse()
+    )
 
 
 def test_each_witness_and_its_lift_read_the_same_word():
@@ -216,14 +221,29 @@ def test_each_witness_and_its_lift_read_the_same_word():
     assert sp4.X_ALPHA.letters == sp4.BEHR["x_alpha"][1]
 
 
-def test_column_table_rejects_a_non_symplectic_matrix():
-    golden = sp4.crossing_matrices() + (sp4.half_twist_matrix(),)
-    assert column_table(golden) == sp4._golden_table()
-    assert len(column_table(sl2_matrices())) == 4
+@pytest.fixture
+def golden_unchecked():
+    """The golden matrices are checked again on the next ``golden_product``."""
+    sp4._check_golden.cache_clear()
+    yield
+    sp4._check_golden.cache_clear()
+
+
+def test_a_golden_matrix_that_is_not_its_braids_image_stops_verify_sp4(
+    golden_unchecked, monkeypatch, capsys
+):
+    golden = sp4.crossing_matrices()
+    m2_inverse = golden[1].inverse()
     doubled = IntMatrix(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    assert not is_symplectic(doubled, 2)
-    with pytest.raises(BraidactError, match="^matrix 3 is not symplectic"):
-        column_table(golden[:2] + (doubled,) + golden[2:])
+    assert is_symplectic(m2_inverse, 2) and not is_symplectic(doubled, 2)
+    for i, bad in ((2, m2_inverse), (3, doubled)):
+        recorded = golden[:i - 1] + (bad,) + golden[i:]
+        monkeypatch.setattr(sp4, "crossing_matrices", lambda recorded=recorded: recorded)
+        assert cli.main(["verify", "sp4"]) == 2
+        message = f"error: matrix {i} is not the image of braid {i} at genus 2\n"
+        assert capsys.readouterr() == ("", message)
+        with pytest.raises(BraidactError, match=f"^matrix {i} is not the image"):
+            sp4.golden_product(())
 
 
 def test_constant_braid_tables_are_built_once_and_read_only():

@@ -16,12 +16,11 @@ from braidact import (
     twist_automorphism,
     verify_symplectic_generators,
 )
-from braidact import sp4
+from braidact import cli, symplectic
 from braidact.endo import Endomorphism
 from braidact.fold import ColumnImages, fold, moved_columns
 from braidact.symplectic import (
     _twist_columns,
-    column_table,
     fold_matrix,
     random_braid,
     verify_sl2_braid_relation,
@@ -43,12 +42,14 @@ def test_standard_form_properties():
 
 
 def test_is_symplectic_examples():
-    assert is_symplectic(IntMatrix.identity(4))
-    assert not is_symplectic(IntMatrix(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))))
-    with pytest.raises(DimensionMismatchError):
-        is_symplectic(IntMatrix.identity(3))
-    with pytest.raises(DimensionMismatchError):
-        is_symplectic(IntMatrix.identity(4), g=3)
+    assert is_symplectic(IntMatrix.identity(4), 2)
+    assert not is_symplectic(IntMatrix(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))), 2)
+    assert is_symplectic(IntMatrix.identity(0), 0)
+    for m, g in ((IntMatrix.identity(3), 1), (IntMatrix.identity(3), 2), (IntMatrix.identity(4), 3)):
+        with pytest.raises(DimensionMismatchError, match=f"^expected size {2 * g}, got {m.dim}$"):
+            is_symplectic(m, g)
+    with pytest.raises(TypeError):
+        is_symplectic(IntMatrix.identity(4))
 
 
 def test_all_twist_matrices_are_symplectic():
@@ -65,6 +66,19 @@ def test_sl2_matrices_and_braid_relation():
     assert verify_sl2_braid_relation().all_passed()
     binv = b.inverse()
     assert a * binv * a == binv * a * binv
+    g1 = GenusContext(1)
+    assert braid_matrix(g1, BraidWord(4, (1,))) == a
+    assert braid_matrix(g1, BraidWord(4, (2,))) == binv
+
+
+def test_a_swapped_sl2_pair_stops_verify_symplectic(monkeypatch, capsys):
+    """(B, A) is symplectic and satisfies the relation too, but A is
+    not the image of s1."""
+    a, b = sl2_matrices()
+    assert b * a.inverse() * b == a.inverse() * b * a.inverse()
+    monkeypatch.setattr(symplectic, "sl2_matrices", lambda: (b, a))
+    assert cli.main(["verify", "symplectic"]) == 2
+    assert capsys.readouterr().err == "error: matrix 1 is not the image of braid 1 at genus 1\n"
 
 
 def test_braid_matrix_identity_and_golden_values():
@@ -173,20 +187,9 @@ def test_twist_columns_match_the_dense_twist_matrices(g):
     assert all(1 <= len(moves) <= 2 for moves in dense.values())
 
 
-def fold_table(name):
-    """A fold table, its matrix size and its letter count: the twists at
-    genus ``name``, or the dense golden or sl2 table, whose inverse
-    letters come from the adjugate."""
-    if name == "golden":
-        return sp4._golden_table(), 4, 6
-    if name == "sl2":
-        return column_table(sl2_matrices()), 2, 2
-    return _twist_columns(name), 2 * name, 2 * name + 1
-
-
-@pytest.mark.parametrize("name", [*range(1, 9), "golden", "sl2"])
-def test_each_twist_column_step_is_undone_by_its_inverse(name):
-    table, n, count = fold_table(name)
+@pytest.mark.parametrize("g", range(1, 9))
+def test_each_twist_column_step_is_undone_by_its_inverse(g):
+    table, n, count = _twist_columns(g), 2 * g, 2 * g + 1
     assert set(table) == {s * i for i in range(1, count + 1) for s in (1, -1)}
     for i in range(1, count + 1):
         for letters in ((i, -i), (-i, i)):

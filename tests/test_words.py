@@ -130,7 +130,7 @@ words_strategy = st.lists(
 )
 
 
-@settings(max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(words_strategy, words_strategy)
 def test_concat_reduces_to_sequential_reduction(u, v):
     # Reducing the concatenation of raw sequences equals concatenating
@@ -138,7 +138,7 @@ def test_concat_reduces_to_sequential_reduction(u, v):
     assert FreeWord(4, tuple(u + v)) == FreeWord(4, tuple(u)) * FreeWord(4, tuple(v))
 
 
-@settings(max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(words_strategy)
 def test_inverse_is_involution_and_cancels(u):
     w = FreeWord(4, tuple(u))
@@ -146,14 +146,14 @@ def test_inverse_is_involution_and_cancels(u):
     assert (w * w.inverse()).is_identity()
 
 
-@settings(max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(words_strategy, words_strategy)
 def test_inverse_antihomomorphism(u, v):
     wu, wv = FreeWord(4, tuple(u)), FreeWord(4, tuple(v))
     assert (wu * wv).inverse() == wv.inverse() * wu.inverse()
 
 
-@settings(max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(words_strategy, words_strategy)
 def test_abelianization_is_a_homomorphism(u, v):
     wu, wv = FreeWord(4, tuple(u)), FreeWord(4, tuple(v))
