@@ -290,8 +290,6 @@ def _run(args: argparse.Namespace) -> int:
                     f"--genus {ctx.g} --max-len {args.max_len} is over the budget of "
                     f"{MAX_BALL_WORDS} omega words"
                 )
-            if not args.json and args.suite in ("symplectic", "all"):
-                print(f"seed: {args.seed}")
             report = _run_suite(args.suite, ctx, args.max_len, args.seed)
             # CPython frees cyclic garbage and empties its free lists only
             # in a full collection, which it starts by allocation count.
@@ -299,6 +297,9 @@ def _run(args: argparse.Namespace) -> int:
             # this, 54 in-process `verify all --genus 4` runs grew the
             # resident set by 2.5 MB.
             gc.collect()
+            # Only now, so a run that stops with exit 2 or 3 leaves stdout empty.
+            if not args.json and args.suite in ("symplectic", "all"):
+                print(f"seed: {args.seed}")
             return _print_report(report, args.json)
     except (ResourceLimitError, WorkBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Composition follows standard function-composition order: ``e1 * e2``
 applies ``e2`` first, then ``e1``, so the images of the product are
-``e1(e2(x_k))``.  Equality of endomorphisms of a free group is equality
-of generator images, which word reduction makes a plain comparison.
+``e1(e2(x_k))``.  A map is its generator images, which word reduction
+makes equal exactly when the maps are, and only ``fold.WordImages``
+evaluates a word over them: in ``apply``, ``*`` and the table's fold.
 
 There is one map type.  An ``Automorphism`` is an ``Endomorphism`` that
 also knows its letter sequence over a ``GeneratorTable``.  A generator
@@ -34,11 +35,12 @@ DEFAULT_LENGTH_CAP = 10**6
 class Endomorphism:
     """A map of F_rank determined by the images of the generators.
 
-    The images are kept as reduced letter tuples.  Their inverses, which
-    substitution needs, are computed on first use.
+    The map is its images, kept as reduced letter tuples; ``apply`` and
+    ``*`` evaluate words over them with ``fold.WordImages``, which inverts
+    an image only when a word reads it inverted.
     """
 
-    __slots__ = ("rank", "_pos", "_neg")
+    __slots__ = ("rank", "_pos")
 
     def __init__(self, rank: int, images: Sequence[FreeWord]):
         images = tuple(images)
@@ -51,7 +53,6 @@ class Endomorphism:
                 )
         self.rank = rank
         self._pos = tuple(w.letters for w in images)
-        self._neg = None
 
     @classmethod
     def _adopt(cls, rank: int, pos: Sequence[tuple[int, ...]]) -> "Endomorphism":
@@ -59,7 +60,6 @@ class Endomorphism:
         e = object.__new__(cls)
         e.rank = rank
         e._pos = tuple(pos)
-        e._neg = None
         return e
 
     @classmethod
@@ -70,11 +70,6 @@ class Endomorphism:
     def images(self) -> tuple[FreeWord, ...]:
         return tuple(FreeWord._wrap(self.rank, w) for w in self._pos)
 
-    def _inverses(self) -> tuple[tuple[int, ...], ...]:
-        if self._neg is None:
-            self._neg = tuple(_kernels.invert_reduced(w) for w in self._pos)
-        return self._neg
-
     def apply(self, word: FreeWord, cap: int | None = None) -> FreeWord:
         """Image of ``word``; ResourceLimitError if a reduced intermediate
         exceeds ``cap`` letters (default DEFAULT_LENGTH_CAP)."""
@@ -82,13 +77,8 @@ class Endomorphism:
             raise RankMismatchError(
                 f"cannot apply rank-{self.rank} map to rank-{word.rank} word"
             )
-        letters = _kernels.substitute(
-            self._pos,
-            self._inverses(),
-            word.letters,
-            DEFAULT_LENGTH_CAP if cap is None else cap,
-        )
-        return FreeWord._wrap(self.rank, letters)
+        images = WordImages.of(self._pos, DEFAULT_LENGTH_CAP if cap is None else cap)
+        return FreeWord._wrap(self.rank, images.evaluate(word.letters))
 
     def __mul__(self, other: "Endomorphism") -> "Endomorphism":
         if not isinstance(other, Endomorphism):
@@ -97,11 +87,8 @@ class Endomorphism:
             raise RankMismatchError(
                 f"cannot compose maps of ranks {self.rank} and {other.rank}"
             )
-        pos, neg = self._pos, self._inverses()
-        return Endomorphism._adopt(
-            self.rank,
-            tuple(_kernels.substitute(pos, neg, w, DEFAULT_LENGTH_CAP) for w in other._pos),
-        )
+        evaluate = WordImages.of(self._pos, DEFAULT_LENGTH_CAP).evaluate
+        return Endomorphism._adopt(self.rank, tuple(map(evaluate, other._pos)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Endomorphism):
@@ -112,7 +99,7 @@ class Endomorphism:
         return hash((self.rank, self._pos))
 
     def is_identity(self) -> bool:
-        return self == Endomorphism.identity(self.rank)
+        return all(w == (k,) for k, w in enumerate(self._pos, 1))
 
     def fixes(self, generator: int) -> bool:
         return self._pos[generator - 1] == (generator,)
@@ -153,7 +140,6 @@ class Automorphism(Endomorphism):
         self.letters = (1,)
         self.rank = forward.rank
         self._pos = forward._pos
-        self._neg = None
 
     def inverse(self) -> "Automorphism":
         return self ** -1

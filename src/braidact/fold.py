@@ -19,7 +19,8 @@ The same loop serves two kinds of image:
 - ``WordImages``: free-group words, where a step substitutes the
   current images into the generator's image (the twist and Artin
   actions, on F_n).  An image is inverted on first read: only when a
-  later step's action reads its generator inverted;
+  later step's action reads its generator inverted.  ``Endomorphism``
+  evaluates ``apply`` and ``*`` on one too;
 - ``ColumnImages``: integer column vectors, where a step replaces the
   moved columns with integer combinations of the current ones (the
   matrix shadow).  ``moved_columns`` keeps the moved ``(k, column)``
@@ -73,11 +74,13 @@ def fold(images, moves: Moves, letters: Sequence[int]):
 class WordImages:
     """Reduced free-group images of the generators, inverted on first read.
 
-    An action is a reduced letter tuple over the generators; evaluating
-    it substitutes the current images, and a word longer than ``cap``
-    raises ResourceLimitError.  ``neg[k]`` is the inverse of ``pos[k]``,
-    or None until an action reads generator k+1 inverted: installing an
-    image only marks its inverse as not yet computed.
+    The one evaluator of a word over images: it starts from the identity,
+    or from a copy of given images (``of``).  An action is a reduced
+    letter tuple over the generators; evaluating it substitutes the
+    current images, and a word longer than ``cap`` raises
+    ResourceLimitError.  ``neg[k]`` is the inverse of ``pos[k]``, or None
+    until an action reads generator k+1 inverted: installing an image
+    only marks its inverse as not yet computed.
     """
 
     __slots__ = ("pos", "neg", "cap")
@@ -86,6 +89,12 @@ class WordImages:
         self.pos = [(k,) for k in range(1, rank + 1)]
         self.neg = [(-k,) for k in range(1, rank + 1)]
         self.cap = cap
+
+    @classmethod
+    def of(cls, pos: Sequence[tuple[int, ...]], cap: int) -> "WordImages":
+        images = object.__new__(cls)
+        images.pos, images.neg, images.cap = list(pos), [None] * len(pos), cap
+        return images
 
     def evaluate(self, word: tuple[int, ...]) -> tuple[int, ...]:
         pos, neg = self.pos, self.neg

@@ -11,6 +11,7 @@ from braidact import (
     IntMatrix,
     NotInverseError,
     RankMismatchError,
+    ResourceLimitError,
     artin_action,
     format_endomorphism,
     parse_word,
@@ -106,7 +107,8 @@ def test_equality_of_endomorphisms():
     ctx = GenusContext(1)
     t1 = twist_automorphism(ctx, 1)
     assert t1 == twist_automorphism(ctx, 1)
-    assert t1 != Endomorphism.identity(2)
+    assert t1 != Endomorphism.identity(2) and not t1.is_identity()
+    assert Endomorphism.identity(2).is_identity()
     for i in (1, 2, 3):
         t = twist_automorphism(ctx, i)
         product = t * t.inverse()
@@ -136,6 +138,50 @@ def test_mixed_products_compose_the_images():
             product = left * right
             assert type(product) is Endomorphism
             assert product == dense
+
+
+def test_apply_and_compose_invert_only_the_images_a_word_reads_inverted(monkeypatch):
+    """A map is its images: ``apply`` and ``*`` evaluate over them and
+    invert an image only when the word reads it inverted, never all 2g
+    up front, and never write back into either operand."""
+    inverted = []
+    invert_reduced = _kernels.invert_reduced
+
+    def counted(letters):
+        inverted.append(letters)
+        return invert_reduced(letters)
+
+    monkeypatch.setattr(_kernels, "invert_reduced", counted)
+    rng = random.Random(SEED + 2)
+
+    def positive(length):
+        return FreeWord(6, tuple(rng.randrange(1, 7) for _ in range(length)))
+
+    for _ in range(20):
+        left, right = (Endomorphism(6, [positive(rng.randrange(1, 5)) for _ in range(6)])
+                       for _ in range(2))
+        pos = left._pos, right._pos
+        word = positive(rng.randrange(12))
+        image, product = left.apply(word), left * right
+        assert inverted == []
+        assert (left._pos, right._pos) == pos
+        assert image == FreeWord(6, tuple(x for k in word.letters for x in left._pos[k - 1]))
+        assert product == Endomorphism(6, [left.apply(v) for v in right.images])
+        # a word that reads x2 inverted, twice, inverts that one image once
+        left.apply(w(6, 1, -2, -2, 6))
+        assert inverted == [left._pos[1]]
+        inverted.clear()
+
+
+def test_apply_cap_bounds_every_intermediate_word():
+    # x1 -> x3 x3 x3 x4 and x2 -> x4^-1 x3^-3 x2, so x1 x2 -> x2 through 4 letters
+    e = Endomorphism(4, [w(4, 3, 3, 3, 4), w(4, -4, -3, -3, -3, 2), w(4, 3), w(4, 4)])
+    assert e.apply(w(4, 1, 2), cap=4) == w(4, 2)
+    with pytest.raises(ResourceLimitError):
+        e.apply(w(4, 1, 2), cap=3)
+    assert e.apply(w(4, 1), cap=4) == w(4, 3, 3, 3, 4)
+    with pytest.raises(ResourceLimitError):
+        e.apply(w(4, 1, 1), cap=7)
 
 
 def test_constructor_accepts_closed_form_inverses():

@@ -78,7 +78,9 @@ def test_a_swapped_sl2_pair_stops_verify_symplectic(monkeypatch, capsys):
     assert b * a.inverse() * b == a.inverse() * b * a.inverse()
     monkeypatch.setattr(symplectic, "sl2_matrices", lambda: (b, a))
     assert cli.main(["verify", "symplectic"]) == 2
-    assert capsys.readouterr().err == "error: matrix 1 is not the image of braid 1 at genus 1\n"
+    out, err = capsys.readouterr()
+    assert out == ""  # not even the seed line
+    assert err == "error: matrix 1 is not the image of braid 1 at genus 1\n"
 
 
 def test_braid_matrix_identity_and_golden_values():
