@@ -40,8 +40,8 @@ from ._value import Word
 from .action import GenusContext, twist_automorphism, twist_table
 from .endo import DEFAULT_LENGTH_CAP, Automorphism, Endomorphism
 from .errors import BraidactError, MalformedWordError, ResourceLimitError, WordSyntaxError
-from .report import VerificationReport, run_checks
-from .symplectic import sl2_matrices
+from .report import VerificationReport, over_cases, run_checks
+from .symplectic import checked_sl2_matrices
 from .words import token_index
 
 
@@ -271,11 +271,6 @@ def _normal_forms(g: int, max_len: int) -> tuple[int, int, dict]:
     }
 
 
-def _sweep_witness(total: int, failures: int) -> str:
-    # A sweep over no words proves nothing, so it fails too.
-    return f"{failures} failures" if total else "no words enumerated"
-
-
 def verify_normal_form_sweep(ctx: GenusContext, max_len: int) -> VerificationReport:
     """Exhaustively confirm that words with the same normal form act alike,
     i.e. the normal form, which lies in the same ball, preserves the map."""
@@ -285,8 +280,9 @@ def verify_normal_form_sweep(ctx: GenusContext, max_len: int) -> VerificationRep
             f"monoid.g{ctx.g}.normal-form-sweep",
             f"block normal form preserves the automorphism on all {total} words"
             f" of length <= {max_len} (genus {ctx.g})",
-            total > 0 and failures == 0,
-            _sweep_witness(total, failures),
+            *over_cases(
+                total, "words enumerated", f"{failures} failures" if failures else None
+            ),
         ),
     ))
 
@@ -302,11 +298,13 @@ def free_monoid_oracle(max_len: int, distinct_len: int = 8) -> VerificationRepor
 
     Every nonempty product of A = [[1,1],[0,1]] and B = [[1,0],[1,1]] up
     to max_len is checked to differ from the identity, and all products
-    up to distinct_len are checked to be pairwise distinct.
+    up to distinct_len are checked to be pairwise distinct.  A and B are
+    read through ``checked_sl2_matrices``, so a wrong pair raises
+    BraidactError.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    a, b = (m.rows[0] + m.rows[1] for m in sl2_matrices())
+    a, b = (m.rows[0] + m.rows[1] for m in checked_sl2_matrices())
     identity = (1, 0, 0, 1)
 
     total = identity_hits = distinct_total = 0
@@ -335,9 +333,9 @@ def free_monoid_oracle(max_len: int, distinct_len: int = 8) -> VerificationRepor
             "monoid.free-oracle.distinct",
             f"all {distinct_total} products of length <= {distinct_len} are"
             " pairwise distinct",
-            distinct_total > 0 and collisions == 0,
-            # Comparing no products proves nothing, so it fails too.
-            f"{collisions} collisions" if distinct_total else "no products compared",
+            *over_cases(
+                distinct_total, "products compared", f"{collisions} collisions" if collisions else None
+            ),
         ),
     ))
 
@@ -363,7 +361,9 @@ def verify_section(ctx: GenusContext, max_len: int) -> VerificationReport:
             f"monoid.g{g}.section",
             f"the {len(forms)} normal forms of all {total} words of length"
             f" <= {max_len} give distinct automorphisms (genus {g})",
-            total > 0 and not collisions,
-            _sweep_witness(total, len(collisions)) + "".join(f"; {c}" for c in collisions),
+            *over_cases(
+                total, "words enumerated",
+                "; ".join([f"{len(collisions)} failures", *collisions]) if collisions else None,
+            ),
         ),
     ))

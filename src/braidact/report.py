@@ -96,6 +96,15 @@ def equal(left, right) -> tuple:
     return left == right, left, right
 
 
+def over_cases(count: int, noun: str, bad) -> tuple:
+    """The ``(holds, left)`` part of a row checked over ``count`` cases,
+    with ``bad`` the failure witness, or None when no case fails.  A
+    check over no cases proves nothing, so it fails as ``no <noun>``."""
+    if count <= 0:
+        return False, f"no {noun}"
+    return bad is None, bad
+
+
 def merge_reports(suite: str, reports: Iterable[VerificationReport]) -> VerificationReport:
     """One report holding the checks of ``reports``, in order."""
     return VerificationReport(suite, tuple(c for r in reports for c in r.checks))

@@ -29,14 +29,16 @@ description, braid) rows of the kernel and gamma17 suites, decided by
 their abelianized image being the identity matrix; a gamma17 death
 passes only at quotient level (``QUOTIENT_PASS``).  Each suite turns its
 tables into check rows and hands them to ``report.run_checks``, which
-applies the pass and witness rules.  Matrix words go
-through the one fold of ``symplectic``: the golden matrices (M1..M5 of
-the crossings, MDelta of the half twist) are checked once against the
-images of s1..s5 and Delta, so golden words fold as braids.  ``BEHR``
-holds each Behr generator as one row (spelling, golden word, matrix),
-``presentation_relations`` the 14 relations as word pairs: the ten of
-``braids.artin_relations(6)`` and four extra ones.  ``gamma_elements``
-maps the seven lifted relators, gamma1 to gamma17, by name to braids.
+applies the pass and witness rules.  Every word here is a 6-strand
+braid, and every matrix is its image under ``symplectic.braid_matrix``:
+the two suites that state facts about the golden matrices (M1..M5 of
+the crossings, MDelta of the half twist) first check each against the
+image of s1..s5 and Delta, so a product of golden matrices is the image
+of the braid it names.  ``BEHR`` holds each Behr generator as one row
+(spelling, braid, matrix), ``presentation_relations`` the 14 relations
+as braid pairs: the ten of ``braids.artin_relations(6)`` and four extra
+ones.  ``gamma_elements`` maps the seven lifted relators, gamma1 to
+gamma17, by name to braids.
 
 Braid-word conventions here: Delta is the positive half twist of the
 6-strand group and ``FULL_TWIST`` = Delta^2, alpha = (s4 s5)^3,
@@ -72,37 +74,35 @@ BETA = BraidWord(6, NAMED_B6["BETA"])
 GAMMA = BraidWord(6, NAMED_B6["GAMMA"])
 FULL_TWIST = DELTA ** 2
 
-# Behr's generators, one row each: name -> (spelling, word, matrix), the
-# word over the golden letters (1-5 are M1..M5, 6 is MDelta).  The
-# witnesses and the lifts read it as a braid, with letter 6 expanded to
-# DELTA.
-HALF_TWIST_LETTER = 6
-BEHR: Mapping[str, tuple[str, tuple[int, ...], IntMatrix]] = MappingProxyType({
+# Behr's generators, one row each: name -> (spelling, braid, matrix).  The
+# spelling names the golden matrices (Mi is the image of si, MDelta of
+# DELTA); the witnesses and the lifts both read the braid.
+BEHR: Mapping[str, tuple[str, BraidWord, IntMatrix]] = MappingProxyType({
     "x_beta": (
-        "M5", (5,), IntMatrix(((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))),
+        "M5", _b6(5), IntMatrix(((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))),
     ),
     "x_alpha_plus_beta": (
-        "M1 M3^-1 M5", NAMED_B6["GAMMA"],
+        "M1 M3^-1 M5", GAMMA,
         IntMatrix(((1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
     ),
     "x_two_alpha_plus_beta": (
-        "M1", (1,), IntMatrix(((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+        "M1", _b6(1), IntMatrix(((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
     ),
     "x_alpha": (
-        "M5^-1 M4^-1 M1^-1 M3 M5^-1 M4 M5", (-5, -4, -1, 3, -5, 4, 5),
+        "M5^-1 M4^-1 M1^-1 M3 M5^-1 M4 M5", _b6(-5, -4, -1, 3, -5, 4, 5),
         IntMatrix(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1))),
     ),
     "w_alpha": (
-        "(M4 M5)^3 MDelta", NAMED_B6["ALPHA"] + (HALF_TWIST_LETTER,),
+        "(M4 M5)^3 MDelta", ALPHA * DELTA,
         IntMatrix(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))),
     ),
     "w_beta": (
-        "(M4 M5 M4)^-1", (-4, -5, -4),
+        "(M4 M5 M4)^-1", _b6(-4, -5, -4),
         IntMatrix(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0))),
     ),
 })
 
-X_ALPHA = BraidWord(6, BEHR["x_alpha"][1])
+X_ALPHA = BEHR["x_alpha"][1]
 CORE454 = _b6(4, 5, 4)
 # Conjugates gamma' in the w-jump of the 17th lifted relator.
 W_JUMP_CONJUGATOR = _b6(1, 2, 1, -3, -2, -4)
@@ -127,29 +127,11 @@ def half_twist_matrix() -> IntMatrix:
     return IntMatrix(((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))
 
 
-def _golden_braid(letters: Sequence[int]) -> BraidWord:
-    """A word over the golden letters read as a braid: letter 6 is DELTA."""
-    expand = {HALF_TWIST_LETTER: DELTA.letters}
-    return BraidWord(6, tuple(y for x in letters for y in expand.get(x, (x,))))
-
-
-@lru_cache(maxsize=None)
 def _check_golden() -> None:
+    """Raise BraidactError unless each golden matrix is its braid's image."""
     check_images(
         G2, crossing_matrices() + (half_twist_matrix(),), [_b6(i) for i in range(1, 6)] + [DELTA]
     )
-
-
-def golden_product(letters: Sequence[int]) -> IntMatrix:
-    """The product of the golden matrices a word names: its braid's image,
-    once the first call has checked each golden matrix (else BraidactError)."""
-    _check_golden()
-    return braid_matrix(G2, _golden_braid(letters))
-
-
-def lift_table() -> dict[str, BraidWord]:
-    """Braid lifts of Behr's generators (abelianizing a lift recovers its matrix)."""
-    return {name: _golden_braid(word) for name, (_, word, _) in BEHR.items()}
 
 
 @lru_cache(maxsize=None)
@@ -176,17 +158,17 @@ def gamma_elements() -> Mapping[str, BraidWord]:
 
 def verify_surjectivity_witnesses() -> VerificationReport:
     """Behr's six generators as words in the crossing matrices."""
+    _check_golden()
     return run_checks("sp4-surjectivity", (
-        (f"sp4.witness.{name}", f"{name} = {spelling}", *equal(matrix, golden_product(word)))
-        for name, (spelling, word, matrix) in BEHR.items()
+        (f"sp4.witness.{name}", f"{name} = {spelling}", *equal(matrix, braid_matrix(G2, braid)))
+        for name, (spelling, braid, matrix) in BEHR.items()
     ))
 
 
 def verify_lift_consistency() -> VerificationReport:
     """Each Behr generator equals the abelianized image of its braid lift."""
     rows = []
-    for name, braid in lift_table().items():
-        matrix = BEHR[name][2]
+    for name, (_, braid, matrix) in BEHR.items():
         rows.append((f"sp4.lift.{name}", f"abelianized lift of {name} reproduces the matrix",
                      *equal(braid_matrix(G2, braid), matrix)))
         rows.append((f"sp4.lift.{name}.symplectic", f"{name} satisfies M^T J M = J",
@@ -326,36 +308,41 @@ def verify_kernel_generators() -> VerificationReport:
     ])
 
 
-def presentation_relations() -> tuple[tuple[str, str, tuple[int, ...], tuple[int, ...]], ...]:
-    """The 14 relations as (name, description, left word, right word).
+def presentation_relations() -> tuple[tuple[str, str, BraidWord, BraidWord], ...]:
+    """The 14 relations as (name, description, left braid, right braid).
 
     Ten braid relations among the crossings plus the four extra
     relations: the squared half twist, (M4 M5)^6, the conjugated cube
     identity, and the twisted inversion of M1 M3^-1 M5.
     """
-    alpha, gamma = ALPHA.letters, GAMMA.letters
-    return artin_relations(6, "M") + (
+    return tuple(
+        (name, description, _b6(*left), _b6(*right))
+        for name, description, left, right in artin_relations(6, "M")
+    ) + (
         (
             "half-twist-squared",
             "the 15-crossing half-twist word squares to the identity matrix",
-            FULL_TWIST.letters,
-            (),
+            FULL_TWIST,
+            _b6(),
         ),
-        ("alpha-order", "(M4 M5)^6 = I", alpha * 2, ()),
-        ("cube-conjugation", "(M1 M2)^3 = M3 (M4 M5)^3 M3^-1", (1, 2) * 3, (3, *alpha, -3)),
+        ("alpha-order", "(M4 M5)^6 = I", ALPHA ** 2, _b6()),
+        ("cube-conjugation", "(M1 M2)^3 = M3 (M4 M5)^3 M3^-1",
+         _b6(1, 2) ** 3, ALPHA.conjugated_by(_b6(3))),
         (
             "gamma-inversion",
             "(M1 M3^-1 M5)^-1 = (M4 M5)^3 (M1 M3^-1 M5) (M4 M5)^-3",
-            GAMMA.inverse().letters,
-            alpha + gamma + ALPHA.inverse().letters,
+            GAMMA.inverse(),
+            GAMMA.conjugated_by(ALPHA),
         ),
     )
 
 
 def verify_presentation() -> VerificationReport:
     """All 14 relations of the braid-type presentation of Sp_4(Z)."""
+    _check_golden()
     return run_checks("sp4-presentation", (
-        (f"sp4.presentation.{name}", description, *equal(golden_product(left), golden_product(right)))
+        (f"sp4.presentation.{name}", description,
+         *equal(braid_matrix(G2, left), braid_matrix(G2, right)))
         for name, description, left, right in presentation_relations()
     ))
 

@@ -10,9 +10,10 @@ M^T J M = J for the block form J = [[0, I], [-I, 0]].
 Every matrix word goes through one fold (``braidact.fold``) over one
 table per genus, the moves of ``twist_table`` abelianized (transvections
 moving one or two columns); ``fold_matrix`` recomputes only the columns
-each letter moves.  Recorded matrices, such as the genus-1 pair (A, B),
-are checked once by ``check_images`` to be the images of their braids,
-and their words are then folded as braid words.
+each letter moves.  Recorded matrices, such as the genus-1 pair (A, B)
+that ``checked_sl2_matrices`` returns, are checked by ``check_images``
+to be the images of their braids before anything reads them, and their
+words are then folded as braid words.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .braids import BraidWord
 from .errors import BraidactError, DimensionMismatchError
 from .fold import ColumnImages, fold, moved_columns
 from .matrices import IntMatrix
-from .report import VerificationReport, equal, run_checks
+from .report import VerificationReport, equal, over_cases, run_checks
 from .words import FreeWord
 
 
@@ -35,36 +36,29 @@ from .words import FreeWord
 def standard_form(g: int) -> IntMatrix:
     """The 2g x 2g alternating-form matrix [[0, I_g], [-I_g, 0]].
 
-    Built and checked once per genus and cached; ``IntMatrix`` is
-    immutable, so every caller can share it.  g = 0 gives the 0 x 0
+    Built once per genus, as J times the identity, and cached;
+    ``IntMatrix`` is immutable, so every caller can share it.  g = 0 gives the 0 x 0
     form of Sp_0; a negative g raises DimensionMismatchError.
     """
     if g < 0:
         raise DimensionMismatchError(f"the standard form needs genus >= 0, got {g}")
-    n = 2 * g
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i < g:
-            row[g + i] = 1
-        else:
-            row[i - g] = -1
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows))
+    return _form_times(IntMatrix.identity(2 * g), g)
+
+
+def _form_times(m: IntMatrix, g: int) -> IntMatrix:
+    """J m for the standard form J of genus g, a signed row permutation:
+    (J m)[i] = m[g+i] for i < g and -m[i-g] for i >= g."""
+    rows = m.rows
+    return IntMatrix._wrap(rows[g:] + tuple(tuple(-x for x in row) for row in rows[:g]))
 
 
 def is_symplectic(m: IntMatrix, g: int) -> bool:
     """True iff  m^T J m = J  for the standard alternating form of genus g;
-    a matrix not of size 2g raises DimensionMismatchError.
-
-    J is a signed row permutation, (J m)[i] = m[g+i] for i < g and
-    -m[i-g] for i >= g, so only m^T (J m) is a real product.
-    """
+    a matrix not of size 2g raises DimensionMismatchError.  J m is a row
+    permutation, so only m^T (J m) is a real product."""
     if m.dim != 2 * g:
         raise DimensionMismatchError(f"expected size {2 * g}, got {m.dim}")
-    rows = m.rows
-    form_m = IntMatrix._wrap(rows[g:] + tuple(tuple(-x for x in row) for row in rows[:g]))
-    return m.transpose() * form_m == standard_form(g)
+    return m.transpose() * _form_times(m, g) == standard_form(g)
 
 
 def fold_matrix(table: dict, n: int, letters: Sequence[int]) -> IntMatrix:
@@ -110,6 +104,14 @@ def sl2_matrices() -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(((1, 1), (0, 1))), IntMatrix(((1, 0), (1, 1)))
 
 
+def checked_sl2_matrices() -> tuple[IntMatrix, IntMatrix]:
+    """``sl2_matrices()``, once ``check_images`` finds A and B to be the
+    images of s1 and s2^-1 at genus 1 (else BraidactError)."""
+    pair = sl2_matrices()
+    check_images(GenusContext(1), pair, (BraidWord(4, (1,)), BraidWord(4, (-2,))))
+    return pair
+
+
 def verify_symplectic_generators(genus_range=(1, 2, 3, 4)) -> VerificationReport:
     """Check that every twist matrix satisfies the symplectic relation."""
     return run_checks("symplectic-generators", (
@@ -140,22 +142,19 @@ def random_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
 
 # The seed of the random suite, and of `verify --seed` unless given.
 DEFAULT_SEED = 20260809
-
-
-def _random_witness(count: int, bad: BraidWord | None) -> BraidWord | str | None:
-    # A check over no braids proves nothing, so it fails too.
-    return "no braids checked" if count <= 0 else bad
+# The random suite draws each braid's length up to this bound.
+RANDOM_MAX_LENGTH = 40
 
 
 def verify_symplectic_random(
-    ctx: GenusContext, count: int = 500, max_length: int = 40, seed: int = DEFAULT_SEED
+    ctx: GenusContext, count: int = 500, seed: int = DEFAULT_SEED
 ) -> VerificationReport:
     """Symplectic membership and determinant 1 for random braid images."""
     rng = random.Random(seed)
     bad_sympl = None
     bad_det = None
     for _ in range(count):
-        b = random_braid(rng, ctx.strands, rng.randrange(max_length + 1))
+        b = random_braid(rng, ctx.strands, rng.randrange(RANDOM_MAX_LENGTH + 1))
         m = braid_matrix(ctx, b)
         if bad_sympl is None and not is_symplectic(m, ctx.g):
             bad_sympl = b
@@ -166,15 +165,13 @@ def verify_symplectic_random(
             f"symplectic.g{ctx.g}.random-membership",
             f"{count} random braid images at genus {ctx.g} all satisfy M^T J M = J"
             f" (seed {seed})",
-            count > 0 and bad_sympl is None,
-            _random_witness(count, bad_sympl),
+            *over_cases(count, "braids checked", bad_sympl),
         ),
         (
             f"symplectic.g{ctx.g}.random-determinant",
             f"{count} random braid images at genus {ctx.g} all have determinant 1"
             f" (seed {seed})",
-            count > 0 and bad_det is None,
-            _random_witness(count, bad_det),
+            *over_cases(count, "braids checked", bad_det),
         ),
     ))
 
@@ -187,8 +184,8 @@ def verify_sl2_braid_relation() -> VerificationReport:
     """The genus-1 matrices satisfy A B^{-1} A = B^{-1} A B^{-1}: A and B
     are checked to be the images of s1 and s2^-1, and the word pair
     ``SL2_BRAID_RELATION`` is folded as braids over the genus-1 twist table."""
+    checked_sl2_matrices()
     ctx = GenusContext(1)
-    check_images(ctx, sl2_matrices(), (BraidWord(4, (1,)), BraidWord(4, (-2,))))
     left, right = (braid_matrix(ctx, BraidWord(4, word)) for word in SL2_BRAID_RELATION)
     return run_checks("sl2-braid-relation", (
         (

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from braidact import GenusContext, IntMatrix, MalformedWordError, WordSyntaxError, twist_automorphism
-from braidact import endo, monoid
+from braidact import cli, endo, monoid, symplectic
 from braidact.action import twist_table
 from braidact.errors import BraidactError, ResourceLimitError
 from braidact.monoid import OmegaWord, format_omega, omega_normal_form, parse_omega
@@ -139,6 +139,17 @@ def test_free_monoid_oracle_minimal():
     assert monoid.free_monoid_oracle(1).all_passed()
     with pytest.raises(ValueError):
         monoid.free_monoid_oracle(0)
+
+
+def test_a_wrong_sl2_pair_stops_verify_monoid(monkeypatch, capsys):
+    """A = [[1,2],[0,1]] spans a free monoid with B too, but it is not the
+    image of s1, so the oracle refuses it before taking any product."""
+    wrong = (IntMatrix(((1, 2), (0, 1))), symplectic.sl2_matrices()[1])
+    monkeypatch.setattr(symplectic, "sl2_matrices", lambda: wrong)
+    # Patch monoid's name as well, so a direct read there cannot escape.
+    monkeypatch.setattr(monoid, "sl2_matrices", lambda: wrong, raising=False)
+    assert cli.main(["verify", "monoid", "--genus", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: matrix 1 is not the image of braid 1 at genus 1\n")
 
 
 def test_free_monoid_oracle_over_no_products_fails():

@@ -1,7 +1,9 @@
 """The one check runner: the pass, fail and witness rules of ``run_checks``."""
 
 from braidact import BraidWord, verify_symplectic_generators
-from braidact.report import FAIL, PASS, QUOTIENT_PASS, Check, VerificationReport, equal, run_checks
+from braidact.report import (
+    FAIL, PASS, QUOTIENT_PASS, Check, VerificationReport, equal, over_cases, run_checks,
+)
 
 
 class Unformattable:
@@ -29,6 +31,12 @@ CASES = [
      Check("t.no-sides", "a condition with no sides", FAIL, None)),
     (("s.quotient-fails", "a failing quotient row", *equal(1, 2), QUOTIENT_PASS),
      Check("s.quotient-fails", "a failing quotient row", FAIL, {"left": "1", "right": "2"})),
+    (("r.cases", "no case fails", *over_cases(3, "words enumerated", None)),
+     Check("r.cases", "no case fails", PASS)),
+    (("q.bad-case", "a case fails", *over_cases(3, "words enumerated", "2 failures")),
+     Check("q.bad-case", "a case fails", FAIL, {"left": "2 failures", "right": ""})),
+    (("p.no-cases", "a check over no cases", *over_cases(0, "braids checked", None)),
+     Check("p.no-cases", "a check over no cases", FAIL, {"left": "no braids checked", "right": ""})),
 ]
 
 

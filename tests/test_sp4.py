@@ -36,7 +36,7 @@ def test_behr_generators_are_symplectic_and_exact():
     )
     assert sp4.BEHR["w_beta"] == (
         "(M4 M5 M4)^-1",
-        (-4, -5, -4),
+        BraidWord(6, (-4, -5, -4)),
         IntMatrix(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0))),
     )
     for _, _, m in sp4.BEHR.values():
@@ -75,9 +75,8 @@ def test_surjectivity_witnesses_all_pass():
 def test_lift_table_commutes_with_the_matrix_map():
     report = sp4.verify_lift_consistency()
     assert report.all_passed()
-    table = sp4.lift_table()
-    assert braid_matrix(G2, table["x_beta"]) == sp4.BEHR["x_beta"][2]
-    assert table["w_beta"].letters == (-4, -5, -4)
+    assert braid_matrix(G2, sp4.BEHR["x_beta"][1]) == sp4.BEHR["x_beta"][2]
+    assert sp4.BEHR["w_beta"][1].letters == (-4, -5, -4)
 
 
 def test_gamma_identities_all_pass():
@@ -182,17 +181,18 @@ def dense_product(matrices, word):
 
 
 def test_folded_words_equal_the_dense_golden_products():
-    golden = sp4.crossing_matrices() + (sp4.half_twist_matrix(),)
-    for name, (_, word, matrix) in sp4.BEHR.items():
-        assert sp4.golden_product(word) == dense_product(golden, word) == matrix, name
+    golden = sp4.crossing_matrices()
+    for name, (_, braid, matrix) in sp4.BEHR.items():
+        assert braid_matrix(G2, braid) == dense_product(golden, braid.letters) == matrix, name
     relations = sp4.presentation_relations()
     checks = sp4.verify_presentation().checks
     assert len(relations) == len(checks) == 14
     for (name, _, left, right), check in zip(relations, checks):
-        assert max(map(abs, left + right)) <= 5, name
-        dense_left, dense_right = dense_product(golden, left), dense_product(golden, right)
-        assert sp4.golden_product(left) == dense_left, name
-        assert sp4.golden_product(right) == dense_right, name
+        assert max(map(abs, left.letters + right.letters)) <= 5, name
+        dense_left = dense_product(golden, left.letters)
+        dense_right = dense_product(golden, right.letters)
+        assert braid_matrix(G2, left) == dense_left, name
+        assert braid_matrix(G2, right) == dense_right, name
         assert check.check_id == f"sp4.presentation.{name}"
         if check.status == "fail":
             assert check.witness == {"left": str(dense_left), "right": str(dense_right)}
@@ -208,30 +208,22 @@ def test_folded_words_equal_the_dense_golden_products():
     )
 
 
-def test_each_witness_and_its_lift_read_the_same_word():
-    lifts = sp4.lift_table()
-    assert list(lifts) == list(sp4.BEHR)
-    delta = sp4.DELTA.letters
-    for name, (_, word, _) in sp4.BEHR.items():
-        expanded = []
-        for x in word:
-            expanded.extend(delta if x == 6 else (x,))
-        assert lifts[name] == BraidWord(6, expanded), name
-        assert braid_matrix(G2, lifts[name]) == sp4.golden_product(word), name
-    assert sp4.X_ALPHA.letters == sp4.BEHR["x_alpha"][1]
+def test_the_half_twist_witness_and_x_alpha_read_behrs_braids():
+    assert sp4.BEHR["w_alpha"][1] == sp4.ALPHA * sp4.DELTA
+    assert sp4.X_ALPHA is sp4.BEHR["x_alpha"][1]
 
 
-@pytest.fixture
-def golden_unchecked():
-    """The golden matrices are checked again on the next ``golden_product``."""
-    sp4._check_golden.cache_clear()
-    yield
-    sp4._check_golden.cache_clear()
+def test_every_sp4_table_holds_six_strand_braids():
+    braids = [braid for _, braid, _ in sp4.BEHR.values()]
+    for rows in (sp4.presentation_relations(), sp4.gamma_identities(), sp4.gamma17_identities()):
+        braids += [side for _, _, left, right in rows for side in (left, right)]
+    braids += [*sp4.gamma_elements().values(), *sp4._gamma17_chain_words().values()]
+    assert len(braids) == 6 + 2 * (14 + 21 + 3) + 7 + 9
+    for braid in braids:
+        assert type(braid) is BraidWord and braid.strands == 6, braid
 
 
-def test_a_golden_matrix_that_is_not_its_braids_image_stops_verify_sp4(
-    golden_unchecked, monkeypatch, capsys
-):
+def test_a_golden_matrix_that_is_not_its_braids_image_stops_verify_sp4(monkeypatch, capsys):
     golden = sp4.crossing_matrices()
     m2_inverse = golden[1].inverse()
     doubled = IntMatrix(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
@@ -242,8 +234,20 @@ def test_a_golden_matrix_that_is_not_its_braids_image_stops_verify_sp4(
         assert cli.main(["verify", "sp4"]) == 2
         message = f"error: matrix {i} is not the image of braid {i} at genus 2\n"
         assert capsys.readouterr() == ("", message)
-        with pytest.raises(BraidactError, match=f"^matrix {i} is not the image"):
-            sp4.golden_product(())
+        for suite in (sp4.verify_presentation, sp4.verify_surjectivity_witnesses):
+            with pytest.raises(BraidactError, match=f"^matrix {i} is not the image"):
+                suite()
+
+
+def test_a_wrong_golden_matrix_stops_verify_sp4_after_a_clean_run(monkeypatch, capsys):
+    """The golden matrices are checked on every run, not once per process."""
+    assert cli.main(["verify", "sp4"]) == 1
+    capsys.readouterr()
+    golden = sp4.crossing_matrices()
+    recorded = golden[:1] + (golden[1].inverse(),) + golden[2:]
+    monkeypatch.setattr(sp4, "crossing_matrices", lambda: recorded)
+    assert cli.main(["verify", "sp4"]) == 2
+    assert capsys.readouterr() == ("", "error: matrix 2 is not the image of braid 2 at genus 2\n")
 
 
 def test_constant_braid_tables_are_built_once_and_read_only():
