@@ -13,7 +13,6 @@ from operator import index
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .errors import MalformedWordError
 
 
 def exact_int(x, message: str) -> int:
@@ -117,10 +116,8 @@ class GroupWord(Word):
         return cls(size)
 
     @classmethod
-    def generator(cls, size: int, index: int, sign: int = 1):
-        if sign not in (1, -1):
-            raise MalformedWordError(f"sign must be +1 or -1, got {sign}")
-        return cls(size, (index * sign,))
+    def generator(cls, size: int, index: int):
+        return cls(size, (index,))
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):

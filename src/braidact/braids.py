@@ -179,8 +179,9 @@ def _crossings(text: str, tokens: list[str], strands: int) -> tuple[int, ...]:
         if not value:
             raise WordSyntaxError.at_token(f"bad token {token!r}", text, i)
         if abs(value) >= strands:
+            # The token as written is the value: str() of a long one fails.
             raise WordSyntaxError.at_token(
-                f"crossing {value} is out of range for {strands} strands", text, i
+                f"crossing {token} is out of range for {strands} strands", text, i
             )
         letters.append(value)
     return tuple(letters)

@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("braid", help="braid word, e.g. '1 -2' or 'DELTA6'")
     p_apply.add_argument("word", help="free-group word, e.g. 'a1 B2'")
     p_apply.add_argument("--genus", type=int, default=2, help=GENUS_HELP)
-    p_apply.add_argument("--max-len", type=int, default=None, help="word length cap")
+    p_apply.add_argument("--max-len", type=int, default=DEFAULT_LENGTH_CAP, help="word length cap")
     p_apply.add_argument("--json", action="store_true")
 
     p_matrix = sub.add_parser("matrix", help="abelianized image of a braid")
@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "apply":
-            cap = DEFAULT_LENGTH_CAP if args.max_len is None else args.max_len
+            cap = args.max_len
             if cap < 1:
                 raise UsageError(f"--max-len must be at least 1, got {cap}")
             ctx = _budgeted_genus(args.genus)

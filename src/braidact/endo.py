@@ -15,8 +15,10 @@ inverse of a word is the inverted word.
 
 A ``GeneratorTable`` has one evaluation method, ``automorphism``: the
 sparse forward-only fold of ``braidact.fold`` of a letter sequence, which
-touches only the images each letter moves.  A product over one table
-concatenates the letters; any other product composes the images.
+touches only the images each letter moves.  A word over one table is
+evaluated there, and ``**`` and ``inverse`` keep its letters; ``*``
+always composes the images, so a product of automorphisms is an
+``Endomorphism``.
 """
 
 from __future__ import annotations
@@ -70,14 +72,14 @@ class Endomorphism:
     def images(self) -> tuple[FreeWord, ...]:
         return tuple(FreeWord._wrap(self.rank, w) for w in self._pos)
 
-    def apply(self, word: FreeWord, cap: int | None = None) -> FreeWord:
+    def apply(self, word: FreeWord, cap: int = DEFAULT_LENGTH_CAP) -> FreeWord:
         """Image of ``word``; ResourceLimitError if a reduced intermediate
-        exceeds ``cap`` letters (default DEFAULT_LENGTH_CAP)."""
+        exceeds ``cap`` letters."""
         if word.rank != self.rank:
             raise RankMismatchError(
                 f"cannot apply rank-{self.rank} map to rank-{word.rank} word"
             )
-        images = WordImages.of(self._pos, DEFAULT_LENGTH_CAP if cap is None else cap)
+        images = WordImages.of(self._pos, cap)
         return FreeWord._wrap(self.rank, images.evaluate(word.letters))
 
     def __mul__(self, other: "Endomorphism") -> "Endomorphism":
@@ -143,13 +145,6 @@ class Automorphism(Endomorphism):
 
     def inverse(self) -> "Automorphism":
         return self ** -1
-
-    def __mul__(self, other: Endomorphism) -> Endomorphism:
-        """The concatenated letters over a shared table, not freely reduced
-        (the folded images decide equality); else the composite of the images."""
-        if isinstance(other, Automorphism) and self.table is other.table:
-            return self.table.automorphism(self.letters + other.letters)
-        return super().__mul__(other)
 
     def __pow__(self, exponent: int) -> "Automorphism":
         letters = self.letters if exponent >= 0 else _kernels.invert_reduced(self.letters)

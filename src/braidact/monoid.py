@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from ._value import Word
 from .action import GenusContext, twist_automorphism, twist_table
@@ -141,24 +141,6 @@ def check_omega_alphabet(ctx: GenusContext) -> VerificationReport:
     return run_checks(f"omega-alphabet(g={g})", rows)
 
 
-class OmegaNormalForm(NamedTuple):
-    """Sorted block decomposition of an omega word.
-
-    ``prefix`` uses only t_1 and t_2^-1, ``exponents[i]`` counts
-    t_{2(i+2)}^-1 for the interior indices 2..g-1, and ``suffix`` uses
-    only t_{2g}^-1 and t_{2g+1}.  Within each outer block the input
-    order is preserved.
-    """
-
-    prefix: OmegaWord
-    exponents: tuple[int, ...]
-    suffix: OmegaWord
-
-    def reassembled(self) -> OmegaWord:
-        middle = (-2 * i for i, count in enumerate(self.exponents, 2) for _ in range(count))
-        return OmegaWord(self.prefix.g, (*self.prefix.letters, *middle, *self.suffix.letters))
-
-
 @lru_cache(maxsize=None)
 def _blocks(g: int) -> dict[int, int]:
     """Each omega letter's block: 0 for t_1 and t_2^-1, i for t_{2i}^-1
@@ -178,21 +160,11 @@ def _normal_letters(g: int, letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(letters, key=_blocks(g).__getitem__))
 
 
-def omega_normal_form(word: OmegaWord) -> OmegaNormalForm:
-    """Sort an omega word into its blocks; the realized automorphism is
-    checked to be unchanged."""
-    g = word.g
-    blocks = _blocks(g)
-    runs = {
-        block: tuple(run)
-        for block, run in itertools.groupby(_normal_letters(g, word.letters), blocks.__getitem__)
-    }
-    form = OmegaNormalForm(
-        OmegaWord(g, runs.get(0, ())),
-        tuple(len(runs.get(i, ())) for i in range(2, g)),
-        OmegaWord(g, runs.get(g, ())),
-    )
-    if form.reassembled().automorphism() != word.automorphism():
+def omega_normal_form(word: OmegaWord) -> OmegaWord:
+    """The normal form of an omega word, its letters stably sorted by
+    block; the realized automorphism is checked to be unchanged."""
+    form = OmegaWord._wrap(word.g, _normal_letters(word.g, word.letters))
+    if form.automorphism() != word.automorphism():
         raise BraidactError("normal form changed the realized automorphism")
     return form
 

@@ -63,12 +63,24 @@ def token_index(token: str) -> int:
     """The positive decimal index after a token's first character, else 0.
 
     The index is ASCII digits with no leading zero, so ``a1`` gives 1 and
-    ``a01``, ``a+1`` and ``a`` give 0.
+    ``a01``, ``a+1`` and ``a`` give 0.  It is exact at any length, also
+    past the digits ``int`` reads from a string
+    (``sys.get_int_max_str_digits()``).
     """
     digits = token[1:]
     if digits.isascii() and digits.isdigit() and digits[0] != "0":
-        return int(digits)
+        return _decimal(digits)
     return 0
+
+
+def _decimal(digits: str) -> int:
+    """The value of ASCII decimal ``digits``; a run longer than ``int``
+    reads (never fewer than 640 digits) is read in two halves."""
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _decimal(digits[:half]) * 10 ** (len(digits) - half) + _decimal(digits[half:])
 
 
 def signed_index(token: str) -> int:
@@ -104,7 +116,8 @@ def parse_word(text: str, rank: int) -> FreeWord:
             raise WordSyntaxError.at_token(f"bad token {token!r}", text, i)
         if index > (rank if odd else g):
             limit = f"rank {rank}" if odd else f"genus {g} (rank {rank})"
-            raise WordSyntaxError.at_token(f"index {index} in {token!r} exceeds {limit}", text, i)
+            digits = token.lstrip("-abAB")  # as written: str() of a long index fails
+            raise WordSyntaxError.at_token(f"index {digits} in {token!r} exceeds {limit}", text, i)
         code = index if odd or name in "aA" else g + index
         codes.append(-code if name in "-AB" else code)
     return FreeWord._wrap(rank, _kernels.reduce_letters(tuple(codes)))

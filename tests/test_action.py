@@ -38,8 +38,8 @@ def twist_formula(ctx, index):
     built from indices (a_i is i, b_i is g+i), not parsed from the a/b
     grammar the module spells them in."""
     g, rank = ctx.g, ctx.rank
-    a = lambda i, sign=1: FreeWord.generator(rank, i, sign)
-    b = lambda i, sign=1: FreeWord.generator(rank, g + i, sign)
+    a = lambda i, sign=1: FreeWord(rank, (sign * i,))
+    b = lambda i, sign=1: FreeWord(rank, (sign * (g + i),))
     if index == 1:  # b_1 -> a_1 b_1
         return {b(1): (a(1) * b(1), a(1, -1) * b(1))}
     if index == 2 * g + 1:  # b_g -> b_g a_g

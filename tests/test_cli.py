@@ -441,6 +441,10 @@ def exit_code_and_errors(args):
 @example(["parse", "omega", "u1", "--genus", str(10**18)])
 @example(["parse", "braid", "DELTA6", "--strands", "6"])
 @example(["verify", "sp4", "--genus", str(10**9)])
+# Index tokens with more digits than int reads from a string.
+@example(["parse", "braid", "1" * 5000])
+@example(["apply", "1", "B" + "1" * 5000])
+@example(["parse", "omega", "u" + "1" * 5000])
 def test_every_command_line_exits_with_a_stated_code(args):
     code, lines = exit_code_and_errors(args)
     if code in (0, 1):

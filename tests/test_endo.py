@@ -31,12 +31,13 @@ def w(rank, *codes):
 
 
 def random_twist_composite(rng, g, length):
-    ctx = GenusContext(g)
-    out = twist_table(g).automorphism(())
+    """The automorphism of ``length`` drawn twists or inverse twists, as a
+    word over the twist table."""
+    letters = []
     for _ in range(length):
-        t = twist_automorphism(ctx, rng.randrange(1, 2 * g + 2))
-        out = out * (t if rng.random() < 0.5 else t.inverse())
-    return out
+        i = rng.randrange(1, 2 * g + 2)
+        letters.append(i if rng.random() < 0.5 else -i)
+    return twist_table(g).automorphism(tuple(letters))
 
 
 def test_apply_on_twist_images():
@@ -96,7 +97,8 @@ def test_power():
     identity = Endomorphism.identity(2)
     assert identity * t1 == t1 * identity == t1
     assert (t1 * t1).apply(w(2, 2)) == w(2, 1, 1, 2)  # b1 -> a1 a1 b1
-    cycle = twist_automorphism(ctx, 1) * twist_automorphism(ctx, 2) * twist_automorphism(ctx, 3)
+    cycle = twist_table(1).automorphism((1, 2, 3))
+    assert cycle == twist_automorphism(ctx, 1) * twist_automorphism(ctx, 2) * twist_automorphism(ctx, 3)
     assert (cycle ** 4).is_identity()
     for k in (1, 2, 5):
         assert cycle ** -k == (cycle ** k).inverse()
@@ -112,8 +114,8 @@ def test_equality_of_endomorphisms():
     for i in (1, 2, 3):
         t = twist_automorphism(ctx, i)
         product = t * t.inverse()
-        # letters over one table concatenate unreduced; the images decide
-        assert product.letters == (i, -i)
+        # a product composes the images, even over one table
+        assert type(product) is Endomorphism
         assert product.is_identity() and product == Endomorphism.identity(2)
 
 
@@ -126,6 +128,19 @@ def test_an_automorphism_is_the_endomorphism_of_its_images():
         assert auto == endo and endo == auto
         assert hash(auto) == hash(endo)
         assert repr(auto) == "Automorphism" + repr(endo)[len("Endomorphism"):]
+
+
+def test_products_over_one_table_compose_the_images():
+    """``a * b`` over one table is an Endomorphism with the images of the
+    word ``a.letters + b.letters`` over that table."""
+    rng = random.Random(SEED + 3)
+    for g in (1, 2, 3):
+        table = twist_table(g)
+        for _ in range(20):
+            a, b = (random_twist_composite(rng, g, rng.randrange(6)) for _ in range(2))
+            product = a * b
+            assert type(product) is Endomorphism
+            assert product.images == table.automorphism(a.letters + b.letters).images
 
 
 def test_mixed_products_compose_the_images():

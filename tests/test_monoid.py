@@ -68,18 +68,19 @@ def test_parse_and_format_omega():
 def test_normal_form_examples():
     # all three letters commute pairwise: one letter per block
     form = omega_normal_form(OmegaWord(3, (7, -4, 1)))
-    assert form.prefix.letters == (1,)
-    assert form.exponents == (1,)
-    assert form.suffix.letters == (7,)
+    assert type(form) is OmegaWord
+    assert form == OmegaWord(3, (1, -4, 7))
 
     form = omega_normal_form(OmegaWord(2, (5, 1)))
-    assert form.prefix.letters == (1,)
-    assert form.exponents == ()
-    assert form.suffix.letters == (5,)
+    assert form.letters == (1, 5)
 
+    # one block: the order within it is kept
     form = omega_normal_form(OmegaWord(2, (1, -2, 1)))
-    assert form.prefix.letters == (1, -2, 1)
-    assert form.suffix.letters == ()
+    assert form.letters == (1, -2, 1)
+
+    # blocks 0, 2 and 3 at genus 3, each keeping its input order
+    form = omega_normal_form(OmegaWord(3, (-6, -4, 1, 7, -2, -4, 1)))
+    assert form.letters == (1, -2, 1, -4, -4, -6, 7)
 
 
 def test_normal_form_requires_genus_two():
@@ -100,8 +101,7 @@ def test_normal_form_uniqueness_at_genus_two():
     by_auto = {}
     for letters in monoid.omega_words(2, 4):
         word = OmegaWord(2, letters)
-        form = omega_normal_form(word)
-        key = (form.prefix.letters, form.exponents, form.suffix.letters)
+        key = omega_normal_form(word).letters
         images = tuple(image.letters for image in word.automorphism().images)
         if key in by_form:
             assert by_form[key] == images
@@ -236,7 +236,8 @@ def test_generated_omega_words_equal_checked_ones():
     assert len(words) == 1 + 5 + 25 + 125
     for letters in words:
         form = omega_normal_form(OmegaWord(3, letters))
-        assert form.reassembled().letters == monoid._normal_letters(3, letters)
+        assert type(form) is OmegaWord and form.g == 3
+        assert form.letters == monoid._normal_letters(3, letters)
     # The checked constructor still rejects a letter outside the alphabet:
     # test_omega_alphabet_letters pins OmegaWord(2, (3,)).
 

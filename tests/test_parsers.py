@@ -8,6 +8,7 @@ of the same type with the same message and the same ``position``.
 """
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from braidact import _kernels
 from braidact.braids import NAMED_B6, BraidWord, parse_braid
 from braidact.errors import MalformedWordError, WordSyntaxError
 from braidact.monoid import OmegaWord, omega_alphabet, parse_omega
-from braidact.words import FreeWord, parse_word
+from braidact.words import FreeWord, parse_word, token_index
 
 # -- references -----------------------------------------------------------
 
@@ -241,3 +242,48 @@ def test_constructors_match_the_per_letter_checks(letters, size):
     assert outcome(BraidWord, size, letters) == outcome(ref_braid_word, size, letters)
     assert outcome(FreeWord, size, letters) == outcome(ref_free_word, size, letters)
     assert outcome(OmegaWord, size, letters) == outcome(ref_omega_word, size, letters)
+
+
+
+# More digits than ``int`` reads from a string by default (4,300).
+LONG = "1" * 5000
+
+
+@pytest.fixture(params=(None, 640, 0) if hasattr(sys, "set_int_max_str_digits") else (None,))
+def int_digit_limit(request):
+    """Run under the default limit on the digits ``int`` reads from a
+    string, the smallest limit (640) and none (0), restoring it after."""
+    if request.param is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "parse, text, size, message, position",
+    [
+        (parse_braid, f"1 {LONG}", 6, f"crossing {LONG} is out of range for 6 strands", 2),
+        (parse_braid, f"-{LONG} 1", 6, f"crossing -{LONG} is out of range for 6 strands", 0),
+        (parse_word, f"a1 B{LONG}", 4, f"index {LONG} in 'B{LONG}' exceeds genus 2 (rank 4)", 3),
+        (parse_word, f"-{LONG}", 3, f"index {LONG} in '-{LONG}' exceeds rank 3", 0),
+        (parse_omega, f"u{LONG}", 2, f"'u{LONG}' is not a positivity-alphabet letter at genus 2", 0),
+        (parse_omega, f"U2 U{LONG}", 2, f"'U{LONG}' is not a positivity-alphabet letter at genus 2", 3),
+    ],
+    ids=("braid", "braid-inverse", "word", "word-odd-rank", "omega", "omega-inverse"),
+)
+def test_an_index_of_any_length_is_out_of_range(parse, text, size, message, position, int_digit_limit):
+    """An index token longer than ``int`` reads from a string still
+    matches the grammar, so it is out of range, written as in the token."""
+    with pytest.raises(WordSyntaxError) as exc:
+        parse(text, size)
+    assert (exc.value.message, exc.value.position) == (message, position)
+
+
+def test_token_index_is_exact_at_any_length(int_digit_limit):
+    assert token_index("a" + LONG) == (10 ** len(LONG) - 1) // 9
+    assert token_index("a1" + "0" * len(LONG)) == 10 ** len(LONG)
