@@ -23,19 +23,14 @@ import sys
 from functools import lru_cache
 from typing import NoReturn
 
-from . import monoid, sp4
+from . import monoid, sp4, symplectic
 from .action import GenusContext, twist_table, verify_center_vanishes, verify_u_braid_relations
 from .braids import braids_equal, format_braid, parse_braid
 from .endo import DEFAULT_LENGTH_CAP
 from .errors import BraidactError, ResourceLimitError, UsageError, WorkBudgetError
 from .report import PASS, QUOTIENT_PASS, VerificationReport, merge_reports
-from .symplectic import (
-    DEFAULT_SEED,
-    braid_matrix,
-    verify_sl2_braid_relation,
-    verify_symplectic_generators,
-    verify_symplectic_random,
-)
+from .monoid import MAX_BALL_WORDS
+from .symplectic import DEFAULT_SEED, braid_matrix
 from .words import format_word, parse_word
 
 # `apply`, `matrix` and `verify` build the 2g+1 twists of the genus from
@@ -53,15 +48,6 @@ MAX_GENUS = 32
 # about 0.03 s at 256 strands and 0.4 s at 1,024; a fresh `equal --strands 256`
 # takes about 0.1 s in 15 MB (2-vCPU x86_64 virtual machine, CPython 3.11).
 MAX_EQUAL_STRANDS = 256
-
-# `verify monoid` and `verify all` enumerate every omega word of length
-# up to --max-len (the normal-form sweep) and up to
-# min(SECTION_MAX_LEN, --max-len) (the section), sum (g+2)^k words per
-# ball at g+2 letters, about 3.4 us a word: 1.1 million words (genus 8,
-# --max-len 6) took 3.8 s in 22 MB (2-vCPU x86_64 virtual machine,
-# CPython 3.11).
-MAX_BALL_WORDS = 2_000_000
-SECTION_MAX_LEN = 4
 
 GENUS_HELP = f"genus g >= 1, at most {MAX_GENUS} (larger exits 3)"
 
@@ -90,61 +76,19 @@ def _budgeted_genus(g: int) -> GenusContext:
     return ctx
 
 
-def _ball_lengths(g: int, max_len: int) -> tuple[int, ...]:
-    """The lengths of the monoid suite's omega balls at genus g: the
-    normal-form sweep's and the section's, and none below genus 2."""
-    return (max_len, min(SECTION_MAX_LEN, max_len)) if g >= 2 else ()
-
-
-def _ball_words(g: int, max_len: int) -> int:
-    """Words in the omega balls of the monoid suite at genus g.
-
-    The count stops as soon as it passes MAX_BALL_WORDS, so a huge
-    --genus or --max-len costs a few multiplications, not a huge power.
-    """
-    total = 0
-    for length in _ball_lengths(g, max_len):
-        words = 1
-        for _ in range(length + 1):
-            total += words
-            if total > MAX_BALL_WORDS:
-                return total
-            words *= g + 2
-    return total
-
-
 def _run_suite(name: str, ctx: GenusContext, max_len: int, seed: int) -> VerificationReport:
     if name == "relations":
         return verify_u_braid_relations(ctx)
     if name == "center":
         return verify_center_vanishes(ctx)
     if name == "symplectic":
-        return merge_reports(
-            "symplectic",
-            (
-                verify_symplectic_generators(sorted({1, 2, 3, 4, ctx.g})),
-                verify_sl2_braid_relation(),
-                verify_symplectic_random(ctx, seed=seed),
-            ),
-        )
+        return symplectic.verify_symplectic(ctx, seed)
     if name == "sp4":
         return sp4.verify_all()
     if name == "monoid":
-        reports = [monoid.check_omega_alphabet(ctx), monoid.free_monoid_oracle(max_len=10)]
-        balls = (monoid.verify_normal_form_sweep, monoid.verify_section)
-        reports += [ball(ctx, n) for ball, n in zip(balls, _ball_lengths(ctx.g, max_len))]
-        return merge_reports("monoid", reports)
+        return monoid.verify_monoid(ctx, max_len)
     if name == "all":
-        return merge_reports(
-            "all",
-            (
-                _run_suite("relations", ctx, max_len, seed),
-                _run_suite("center", ctx, max_len, seed),
-                _run_suite("symplectic", ctx, max_len, seed),
-                _run_suite("sp4", ctx, max_len, seed),
-                _run_suite("monoid", ctx, max_len, seed),
-            ),
-        )
+        return merge_reports("all", [_run_suite(s, ctx, max_len, seed) for s in SUITES[:-1]])
     raise BraidactError(f"unknown suite {name!r}")
 
 
@@ -284,7 +228,7 @@ def _run(args: argparse.Namespace) -> int:
             if args.max_len < 0:
                 raise UsageError(f"--max-len must be at least 0, got {args.max_len}")
             ctx = GenusContext(args.genus) if args.suite == "sp4" else _budgeted_genus(args.genus)
-            ball_words = _ball_words(ctx.g, args.max_len) if args.suite in ("monoid", "all") else 0
+            ball_words = monoid.ball_words(ctx.g, args.max_len) if args.suite in ("monoid", "all") else 0
             if ball_words > MAX_BALL_WORDS:
                 raise WorkBudgetError(
                     f"--genus {ctx.g} --max-len {args.max_len} is over the budget of "

@@ -4,7 +4,7 @@ Entries are Python ints, so products of long random words cannot
 overflow silently.  The constructor takes integers only
 (``operator.index``): a float or a string entry raises TypeError
 instead of being truncated.  Determinants use the fraction-free Bareiss
-scheme.  Matrix words are not evaluated here: ``symplectic.fold_matrix``
+scheme.  Matrix words are not evaluated here: ``symplectic.braid_matrix``
 folds them column by column.  ``inverse`` (the integer adjugate,
 unimodular matrices only, O(n^5)) is the one matrix inverse; no
 command calls it, since inverse letters come from the twist table.

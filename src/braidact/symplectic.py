@@ -9,8 +9,8 @@ M^T J M = J for the block form J = [[0, I], [-I, 0]].
 
 Every matrix word goes through one fold (``braidact.fold``) over one
 table per genus, the moves of ``twist_table`` abelianized (transvections
-moving one or two columns); ``fold_matrix`` recomputes only the columns
-each letter moves.  Recorded matrices, such as the genus-1 pair (A, B)
+moving one or two columns); ``braid_matrix``, the one column fold,
+recomputes only the columns each letter moves.  Recorded matrices, such as the genus-1 pair (A, B)
 that ``checked_sl2_matrices`` returns, are checked by ``check_images``
 to be the images of their braids before anything reads them, and their
 words are then folded as braid words.
@@ -28,7 +28,7 @@ from .braids import BraidWord
 from .errors import BraidactError, DimensionMismatchError
 from .fold import ColumnImages, fold, moved_columns
 from .matrices import IntMatrix
-from .report import VerificationReport, equal, over_cases, run_checks
+from .report import VerificationReport, equal, merge_reports, over_cases, run_checks
 from .words import FreeWord
 
 
@@ -61,16 +61,6 @@ def is_symplectic(m: IntMatrix, g: int) -> bool:
     return m.transpose() * _form_times(m, g) == standard_form(g)
 
 
-def fold_matrix(table: dict, n: int, letters: Sequence[int]) -> IntMatrix:
-    """The n x n product of the table's matrices named by ``letters``.
-
-    The fold's columns are integer combinations of identity columns, so
-    the matrix adopts them unchecked.
-    """
-    images = fold(ColumnImages(n), table, letters)
-    return IntMatrix._wrap(tuple(zip(*images.columns)))
-
-
 @lru_cache(maxsize=None)
 def _twist_columns(g: int) -> dict:
     """Fold table of the abelianized twists: each forward and backward
@@ -86,8 +76,11 @@ def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
 
     Functorially equal to abelianizing the braid's automorphism, and to
     the product of the generator matrices, folded over the twist table.
+    The fold's columns are integer combinations of identity columns, so
+    the matrix adopts them unchecked.
     """
-    return fold_matrix(_twist_columns(ctx.g), ctx.rank, ctx.crossings(braid))
+    images = fold(ColumnImages(ctx.rank), _twist_columns(ctx.g), ctx.crossings(braid))
+    return IntMatrix._wrap(tuple(zip(*images.columns)))
 
 
 def check_images(
@@ -112,18 +105,19 @@ def checked_sl2_matrices() -> tuple[IntMatrix, IntMatrix]:
     return pair
 
 
-def verify_symplectic_generators(genus_range=(1, 2, 3, 4)) -> VerificationReport:
-    """Check that every twist matrix satisfies the symplectic relation."""
+def verify_symplectic_generators(ctx: GenusContext) -> VerificationReport:
+    """Check that every twist matrix satisfies the symplectic relation,
+    at genera 1 to 4 and at the genus of ``ctx``."""
     return run_checks("symplectic-generators", (
         (
-            f"symplectic.g{g}.twist-{i}",
-            f"abelianized twist {i} satisfies M^T J M = J (genus {g})",
-            is_symplectic(m, g),
+            f"symplectic.g{c.g}.twist-{i}",
+            f"abelianized twist {i} satisfies M^T J M = J (genus {c.g})",
+            is_symplectic(m, c.g),
             m,
         )
-        for g in genus_range
-        for i in range(1, 2 * g + 2)
-        for m in (fold_matrix(_twist_columns(g), 2 * g, (i,)),)
+        for c in map(GenusContext, sorted({1, 2, 3, 4, ctx.g}))
+        for i in range(1, c.strands)
+        for m in (braid_matrix(c, BraidWord(c.strands, (i,))),)
     ))
 
 
@@ -193,4 +187,15 @@ def verify_sl2_braid_relation() -> VerificationReport:
             "A B^-1 A = B^-1 A B^-1 for the genus-1 matrices",
             *equal(left, right),
         ),
+    ))
+
+
+def verify_symplectic(ctx: GenusContext, seed: int) -> VerificationReport:
+    """The symplectic suite: the twist matrices of genera 1 to 4 and of
+    ``ctx``, the genus-1 braid relation, and random braid images at the
+    genus of ``ctx`` drawn from ``seed``."""
+    return merge_reports("symplectic", (
+        verify_symplectic_generators(ctx),
+        verify_sl2_braid_relation(),
+        verify_symplectic_random(ctx, seed=seed),
     ))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidact import action, braids, cli, monoid, symplectic
-from braidact.cli import MAX_BALL_WORDS, MAX_EQUAL_STRANDS, MAX_GENUS, SUITES, _ball_words, main
+from braidact.cli import MAX_BALL_WORDS, MAX_EQUAL_STRANDS, MAX_GENUS, SUITES, main
 
 
 def run(capsys, *argv):
@@ -325,9 +325,9 @@ def test_genus_budget_admits_its_cap(capsys):
 
 
 def test_ball_budget_admits_the_default_sweeps():
-    assert _ball_words(4, 5) == 9331 + 1555
-    assert _ball_words(8, 5) == 111111 + 11111 <= MAX_BALL_WORDS
-    assert _ball_words(1, 5) == 0  # genus 1 has no normal-form sweep
+    assert monoid.ball_words(4, 5) == 9331 + 1555
+    assert monoid.ball_words(8, 5) == 111111 + 11111 <= MAX_BALL_WORDS
+    assert monoid.ball_words(1, 5) == 0  # genus 1 has no normal-form sweep
 
 
 def test_ball_budget_counts_the_words_verify_monoid_enumerates(capsys, monkeypatch):
@@ -345,7 +345,7 @@ def test_ball_budget_counts_the_words_verify_monoid_enumerates(capsys, monkeypat
             yielded.clear()
             code, _, _ = run(capsys, "verify", "monoid", "--genus", str(g), "--max-len", str(max_len))
             assert code == 0
-            assert len(yielded) == _ball_words(g, max_len), (g, max_len)
+            assert len(yielded) == monoid.ball_words(g, max_len), (g, max_len)
 
 
 def test_verify_all_nonpositive_genus_exits_2_before_printing(capsys):

@@ -21,7 +21,6 @@ from braidact.endo import Endomorphism
 from braidact.fold import ColumnImages, fold, moved_columns
 from braidact.symplectic import (
     _twist_columns,
-    fold_matrix,
     random_braid,
     verify_sl2_braid_relation,
     verify_symplectic_random,
@@ -53,9 +52,18 @@ def test_is_symplectic_examples():
 
 
 def test_all_twist_matrices_are_symplectic():
-    report = verify_symplectic_generators()
+    report = verify_symplectic_generators(GenusContext(1))
     assert report.all_passed()
     assert len(report.checks) == sum(2 * g + 1 for g in (1, 2, 3, 4))
+
+
+def test_the_generators_suite_adds_the_genus_of_its_context():
+    report = verify_symplectic_generators(GenusContext(6))
+    assert report.all_passed()
+    assert [c.check_id for c in report.checks] == [
+        f"symplectic.g{g}.twist-{i}" for g in (1, 2, 3, 4, 6) for i in range(1, 2 * g + 2)
+    ]
+    assert len(report.checks) == 37
 
 
 def test_sl2_matrices_and_braid_relation():
@@ -195,7 +203,8 @@ def test_each_twist_column_step_is_undone_by_its_inverse(g):
     assert set(table) == {s * i for i in range(1, count + 1) for s in (1, -1)}
     for i in range(1, count + 1):
         for letters in ((i, -i), (-i, i)):
-            assert fold_matrix(table, n, letters) == IntMatrix.identity(n), letters
+            columns = fold(ColumnImages(n), table, letters).columns
+            assert IntMatrix(zip(*columns)) == IntMatrix.identity(n), letters
 
 
 def test_twist_columns_are_built_without_a_dense_matrix(monkeypatch):
