@@ -31,7 +31,7 @@ from .errors import BraidactError, ResourceLimitError, UsageError, WorkBudgetErr
 from .report import PASS, QUOTIENT_PASS, VerificationReport, merge_reports
 from .monoid import MAX_BALL_WORDS
 from .symplectic import DEFAULT_SEED, braid_matrix
-from .words import format_word, parse_word
+from .words import format_decimal, format_word, parse_word
 
 # `apply`, `matrix` and `verify` build the 2g+1 twists of the genus from
 # their sparse moves, one length-2g column per move (a fresh `matrix 1
@@ -196,7 +196,12 @@ def _run(args: argparse.Namespace) -> int:
             ctx = _budgeted_genus(args.genus)
             braid = parse_braid(args.braid, ctx.strands)
             m = braid_matrix(ctx, braid)
-            print(json.dumps(m.to_lists()) if args.json else str(m))
+            if args.json:
+                # json.dumps's bytes for int rows; json.dumps fails past str()'s digits.
+                rows = ("[" + ", ".join(map(format_decimal, row)) + "]" for row in m.rows)
+                print("[" + ", ".join(rows) + "]")
+            else:
+                print(m)
             return 0
 
         if args.command == "equal":

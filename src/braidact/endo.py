@@ -4,21 +4,22 @@ Composition follows standard function-composition order: ``e1 * e2``
 applies ``e2`` first, then ``e1``, so the images of the product are
 ``e1(e2(x_k))``.  A map is its generator images, which word reduction
 makes equal exactly when the maps are, and only ``fold.WordImages``
-evaluates a word over them: in ``apply``, ``*`` and the table's fold.
+evaluates a word over them: in ``apply``, ``*`` and the fold that
+builds an automorphism.
 
 There is one map type.  An ``Automorphism`` is an ``Endomorphism`` that
-also knows its letter sequence over a ``GeneratorTable``.  A generator
-is its (forward, backward) moves, the images each direction moves, and
-the table is the one place that checks each pair to be mutually
-inverse, once.  General inversion in Aut(F_n) is out of scope; the
-inverse of a word is the inverted word.
+also knows its letter sequence over a ``GeneratorTable``, and its
+constructor is the one way to build one: the sparse forward-only fold
+of ``braidact.fold`` of the letters over the table, which touches only
+the images each letter moves.  A generator is its (forward, backward)
+moves, the images each direction moves, and the table is the one place
+that checks each pair to be mutually inverse, once; a hand-made pair is
+checked as the one generator of its own table.  General inversion in
+Aut(F_n) is out of scope; the inverse of a word is the inverted word.
 
-A ``GeneratorTable`` has one evaluation method, ``automorphism``: the
-sparse forward-only fold of ``braidact.fold`` of a letter sequence, which
-touches only the images each letter moves.  A word over one table is
-evaluated there, and ``**`` and ``inverse`` keep its letters; ``*``
-always composes the images, so a product of automorphisms is an
-``Endomorphism``.
+Callers spell the construction ``table.automorphism(letters)``.  ``**``
+and ``inverse`` keep the letters; ``*`` always composes the images, so
+a product of automorphisms is an ``Endomorphism``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from . import _kernels
 from .errors import NotInverseError, RankMismatchError
-from .fold import WordImages, fold, moved_words
+from .fold import WordImages, fold
 from .matrices import IntMatrix
 from .words import FreeWord
 
@@ -125,23 +126,21 @@ class Automorphism(Endomorphism):
     """An endomorphism that knows its word over a table of verified generators.
 
     ``letters`` name generators of ``table`` (``-i`` the inverse of the
-    i-th) and the images are their fold.  The constructor makes a given
-    (forward, backward) pair the one generator of its own table, which
-    checks it.
+    i-th) and the images are their fold from the identity, computed here,
+    so every automorphism comes from checked moves.  ResourceLimitError
+    if an image grows past ``cap`` letters at any step.
     """
 
     __slots__ = ("table", "letters")
 
-    def __init__(self, forward: Endomorphism, backward: Endomorphism):
-        if forward.rank != backward.rank:
-            raise RankMismatchError(
-                f"forward rank {forward.rank} != backward rank {backward.rank}"
-            )
-        pair = (moved_words(forward._pos), moved_words(backward._pos))
-        self.table = GeneratorTable(forward.rank, (pair,))
-        self.letters = (1,)
-        self.rank = forward.rank
-        self._pos = forward._pos
+    def __init__(
+        self, table: GeneratorTable, letters: tuple[int, ...], cap: int = DEFAULT_LENGTH_CAP
+    ):
+        images = fold(WordImages(table.rank, cap), table.moves, letters)
+        self.rank = table.rank
+        self._pos = tuple(images.pos)
+        self.table = table
+        self.letters = letters
 
     def inverse(self) -> "Automorphism":
         return self ** -1
@@ -184,16 +183,8 @@ class GeneratorTable:
         self, letters: tuple[int, ...], cap: int = DEFAULT_LENGTH_CAP
     ) -> Automorphism:
         """The product of the named generators, the word ``letters`` over
-        this table.
-
-        ResourceLimitError if an image grows past ``cap`` letters at any
-        step.
-        """
-        images = fold(WordImages(self.rank, cap), self.moves, letters)
-        a = Automorphism._adopt(self.rank, images.pos)
-        a.table = self
-        a.letters = letters
-        return a
+        this table."""
+        return Automorphism(self, letters, cap)
 
 
 def format_endomorphism(e: Endomorphism) -> str:

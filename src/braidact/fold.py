@@ -150,11 +150,6 @@ class ColumnImages:
         self.columns[k] = column
 
 
-def moved_words(images: Sequence[tuple[int, ...]]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The ``(k, image)`` entries of a generator whose image of x_{k+1} is not x_{k+1}."""
-    return tuple((k, w) for k, w in enumerate(images) if w != (k + 1,))
-
-
 def moved_columns(
     columns: Iterable[tuple[int, Sequence[int]]],
 ) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:

@@ -23,6 +23,7 @@ from typing import Iterable
 
 from ._value import Value, exact_int
 from .errors import DimensionMismatchError, NonUnimodularError
+from .words import format_decimal
 
 
 class IntMatrix(Value):
@@ -150,10 +151,9 @@ class IntMatrix(Value):
         return [list(row) for row in self.rows]
 
     def __str__(self) -> str:
-        width = max((len(str(x)) for row in self.rows for x in row), default=1)
-        return "\n".join(
-            "[" + "  ".join(f"{x:>{width}}" for x in row) + "]" for row in self.rows
-        )
+        cells = [[format_decimal(x) for x in row] for row in self.rows]
+        width = max((len(x) for row in cells for x in row), default=1)
+        return "\n".join("[" + "  ".join(x.rjust(width) for x in row) + "]" for row in cells)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r})"

@@ -83,6 +83,19 @@ def _decimal(digits: str) -> int:
         return _decimal(digits[:half]) * 10 ** (len(digits) - half) + _decimal(digits[half:])
 
 
+def format_decimal(n: int) -> str:
+    """``str(n)``, also past the digits ``int`` writes to a string: as
+    ``_decimal`` reads, a longer value is written in two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + format_decimal(-n)
+        half = n.bit_length() * 3 // 20  # under half the digits: 3/10 < log10(2)
+        high, low = divmod(n, 10**half)
+        return format_decimal(high) + format_decimal(low).zfill(half)
+
+
 def signed_index(token: str) -> int:
     """A signed index token, ASCII ``-?[1-9][0-9]*``, as its value, else 0:
     ``-3`` gives -3, and ``+3``, ``03``, ``1_0`` and ``٣`` give 0."""
@@ -115,7 +128,9 @@ def parse_word(text: str, rank: int) -> FreeWord:
         if not index:
             raise WordSyntaxError.at_token(f"bad token {token!r}", text, i)
         if index > (rank if odd else g):
-            limit = f"rank {rank}" if odd else f"genus {g} (rank {rank})"
+            limit = f"rank {format_decimal(rank)}"
+            if not odd:
+                limit = f"genus {format_decimal(g)} ({limit})"
             digits = token.lstrip("-abAB")  # as written: str() of a long index fails
             raise WordSyntaxError.at_token(f"index {digits} in {token!r} exceeds {limit}", text, i)
         code = index if odd or name in "aA" else g + index

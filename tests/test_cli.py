@@ -445,6 +445,11 @@ def exit_code_and_errors(args):
 @example(["parse", "braid", "1" * 5000])
 @example(["apply", "1", "B" + "1" * 5000])
 @example(["parse", "omega", "u" + "1" * 5000])
+# Values with more digits than int writes to a string: a matrix whose
+# entries outgrow it, and a rank in an out-of-range message.
+@example(["matrix", "1 -2 " * 11000, "--genus", "1"])
+@example(["matrix", "1 -2 " * 11000, "--genus", "1", "--json"])
+@example(["parse", "word", "a1" + "0" * 4300, "--genus", "9" * 4300])
 def test_every_command_line_exits_with_a_stated_code(args):
     code, lines = exit_code_and_errors(args)
     if code in (0, 1):

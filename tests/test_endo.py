@@ -200,19 +200,18 @@ def test_apply_cap_bounds_every_intermediate_word():
 
 
 def test_constructor_accepts_closed_form_inverses():
-    fwd = Endomorphism(2, [w(2, 1), w(2, 1, 2)])  # b -> ab
-    bwd = Endomorphism(2, [w(2, 1), w(2, -1, 2)])  # b -> a^-1 b
-    Automorphism(fwd, bwd)
-
-    fwd2 = Endomorphism(2, [w(2, -2, 1), w(2, 2)])  # a -> b^-1 a
-    bwd2 = Endomorphism(2, [w(2, 2, 1), w(2, 2)])  # a -> b a
-    Automorphism(fwd2, bwd2)
+    # b -> ab, inverted by b -> a^-1 b
+    table = GeneratorTable(2, [(((1, (1, 2)),), ((1, (-1, 2)),))])
+    assert Automorphism(table, (1,)).images == (w(2, 1), w(2, 1, 2))
+    # a -> b^-1 a, inverted by a -> b a
+    table = GeneratorTable(2, [(((0, (-2, 1)),), ((0, (2, 1)),))])
+    assert Automorphism(table, (-1,)).images == (w(2, 2, 1), w(2, 2))
 
 
 def test_constructor_rejects_non_inverse_with_witness():
-    fwd = Endomorphism(2, [w(2, 1), w(2, 1, 2)])
+    fwd = ((1, (1, 2)),)
     with pytest.raises(NotInverseError) as exc:
-        Automorphism(fwd, fwd)
+        GeneratorTable(2, [(fwd, fwd)])
     assert exc.value.generator == 2
     assert str(exc.value) == "forward o backward does not fix generator 2"
 
@@ -226,12 +225,16 @@ def test_constructor_rejects_non_inverse_with_witness():
     ],
 )
 def test_table_rejects_a_non_inverse_pair_as_the_constructor_does(backward, backward_moves):
-    fwd = Endomorphism(2, [w(2, 1), w(2, 1, 2)])
+    """A bad pair fails its check alike as a table's only generator and
+    as its second."""
+    moved = tuple((k, v.letters) for k, v in enumerate(backward) if v.letters != (k + 1,))
+    assert moved == backward_moves
+    fwd = ((1, (1, 2)),)
     with pytest.raises(NotInverseError) as expected:
-        Automorphism(fwd, Endomorphism(2, backward))
-    good = (((1, (1, 2)),), ((1, (-1, 2)),))
+        GeneratorTable(2, [(fwd, backward_moves)])
+    good = (fwd, ((1, (-1, 2)),))
     with pytest.raises(NotInverseError) as exc:
-        GeneratorTable(2, [good, (((1, (1, 2)),), backward_moves)])
+        GeneratorTable(2, [good, (fwd, backward_moves)])
     assert str(exc.value) == str(expected.value)
     assert exc.value.generator == expected.value.generator
 

@@ -12,7 +12,6 @@ from functools import lru_cache
 import pytest
 
 from braidact import (
-    Automorphism,
     Endomorphism,
     FreeWord,
     GenusContext,
@@ -27,8 +26,8 @@ from braidact import (
 from braidact import _kernels, monoid
 from braidact.action import twist_table
 from braidact.braids import _artin_table
-from braidact.endo import DEFAULT_LENGTH_CAP
-from braidact.fold import ColumnImages, WordImages, fold, moved_columns, moved_words
+from braidact.endo import DEFAULT_LENGTH_CAP, GeneratorTable
+from braidact.fold import ColumnImages, WordImages, fold, moved_columns
 from braidact.symplectic import random_braid
 
 SEED = 0xF01D
@@ -43,15 +42,21 @@ def dense_word_composite(generator, rank, letters):
     return out
 
 
+def moved_words(images):
+    """The ``(k, image)`` entries of the images that move x_{k+1}."""
+    return tuple((k, w) for k, w in enumerate(images) if w != (k + 1,))
+
+
 def artin_generator(n, i):
     """x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i, with its inverse."""
-    def images(moved):
-        return Endomorphism(n, [FreeWord(n, moved.get(k, (k,))) for k in range(1, n + 1)])
+    def moves(moved):
+        return moved_words([moved.get(k, (k,)) for k in range(1, n + 1)])
 
-    return Automorphism(
-        images({i: (i, i + 1, -i), i + 1: (i,)}),
-        images({i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}),
+    pair = (
+        moves({i: (i, i + 1, -i), i + 1: (i,)}),
+        moves({i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}),
     )
+    return GeneratorTable(n, [pair]).automorphism((1,))
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ replaced.  Every drawn input must give an equal value, or an exception
 of the same type with the same message and the same ``position``.
 """
 
+import random
 import re
 import sys
 
@@ -18,7 +19,7 @@ from braidact import _kernels
 from braidact.braids import NAMED_B6, BraidWord, parse_braid
 from braidact.errors import MalformedWordError, WordSyntaxError
 from braidact.monoid import OmegaWord, omega_alphabet, parse_omega
-from braidact.words import FreeWord, parse_word, token_index
+from braidact.words import FreeWord, format_decimal, parse_word, signed_index, token_index
 
 # -- references -----------------------------------------------------------
 
@@ -287,3 +288,14 @@ def test_an_index_of_any_length_is_out_of_range(parse, text, size, message, posi
 def test_token_index_is_exact_at_any_length(int_digit_limit):
     assert token_index("a" + LONG) == (10 ** len(LONG) - 1) // 9
     assert token_index("a1" + "0" * len(LONG)) == 10 ** len(LONG)
+
+
+@pytest.mark.parametrize("digits", (4299, 4300, 4301, 4302, 10_000))
+def test_format_decimal_round_trips_through_token_index(digits, int_digit_limit):
+    """``format_decimal`` writes, at any length, what ``token_index`` and
+    ``signed_index`` read back."""
+    low, high = 10 ** (digits - 1), 10**digits
+    for n in (low, high - 1, random.Random(digits).randrange(low, high)):
+        text = format_decimal(n)
+        assert len(text) == digits and token_index("a" + text) == n
+        assert format_decimal(-n) == "-" + text and signed_index("-" + text) == -n

@@ -22,8 +22,10 @@ tracer = Tracer()
 install(tracer)
 assert braids.braids_equal(braids.BraidWord(3, (1, 2, 1)), braids.BraidWord(3, (2, 1, 2)))
 print(" ".join(sorted(tracer.totals())))
+built = tracer.totals().get("endo.automorphism", {}).get("calls", 0)
 applied = tracer.totals().get("endo.apply", {}).get("calls", 0)
 twist_automorphism(GenusContext(2), 1).apply(FreeWord(4, (3,)))
+print(built, tracer.totals()["endo.automorphism"]["calls"] - built)
 print(tracer.totals()["endo.apply"]["calls"] - applied)
 """
 
@@ -36,10 +38,13 @@ def test_benchmark_tracer_installs_on_the_package():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    names, applied = proc.stdout.splitlines()
+    names, built, applied = proc.stdout.splitlines()
     traced = names.split()
     assert "braids.braids_equal" in traced
     assert "kernels.substitute" in traced
+    # each evaluation, an Artin action per braid and then one twist, is
+    # one call of the one traced Automorphism constructor
+    assert built == "2 1"
     # an automorphism applies through the one traced Endomorphism.apply
     assert applied == "1"
 
