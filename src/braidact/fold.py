@@ -18,9 +18,11 @@ The same loop serves two kinds of image:
 
 - ``WordImages``: free-group words, where a step substitutes the
   current images into the generator's image (the twist and Artin
-  actions, on F_n).  An image is inverted on first read: only when a
-  later step's action reads its generator inverted.  ``Endomorphism``
-  evaluates ``apply`` and ``*`` on one too;
+  actions, on F_n).  An action of one letter, such as every Artin
+  crossing's x_{i+1} -> x_i, has nothing to substitute: it is read as
+  the current image, with its cap still checked.  An image is inverted
+  on first read: only when a later step's action reads its generator
+  inverted.  ``Endomorphism`` evaluates ``apply`` and ``*`` on one too;
 - ``ColumnImages``: integer column vectors, where a step replaces the
   moved columns with integer combinations of the current ones (the
   matrix shadow).  ``moved_columns`` keeps the moved ``(k, column)``
@@ -35,6 +37,7 @@ from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernels
+from .errors import ResourceLimitError
 
 # A table maps a signed letter to the (0-based index, action) pairs of
 # the generators it moves.
@@ -78,9 +81,11 @@ class WordImages:
     or from a copy of given images (``of``).  An action is a reduced
     letter tuple over the generators; evaluating it substitutes the
     current images, and a word longer than ``cap`` raises
-    ResourceLimitError.  ``neg[k]`` is the inverse of ``pos[k]``, or None
-    until an action reads generator k+1 inverted: installing an image
-    only marks its inverse as not yet computed.
+    ResourceLimitError.  An action of one letter is read, not
+    substituted: it returns that letter's current image, the same tuple,
+    after the same cap check.  ``neg[k]`` is the inverse of ``pos[k]``,
+    or None until an action reads generator k+1 inverted: installing an
+    image only marks its inverse as not yet computed.
     """
 
     __slots__ = ("pos", "neg", "cap")
@@ -101,7 +106,12 @@ class WordImages:
         for x in word:
             if x < 0 and neg[-x - 1] is None:
                 neg[-x - 1] = _kernels.invert_reduced(pos[-x - 1])
-        return _kernels.substitute(pos, neg, word, self.cap)
+        if len(word) != 1:
+            return _kernels.substitute(pos, neg, word, self.cap)
+        image = pos[x - 1] if x > 0 else neg[-x - 1]  # x is the one letter
+        if len(image) > self.cap:
+            raise ResourceLimitError(self.cap)
+        return image
 
     def __setitem__(self, k: int, letters: tuple[int, ...]) -> None:
         self.pos[k] = letters

@@ -155,5 +155,11 @@ class IntMatrix(Value):
         width = max((len(x) for row in cells for x in row), default=1)
         return "\n".join("[" + "  ".join(x.rjust(width) for x in row) + "]" for row in cells)
 
+    def to_json(self) -> str:
+        """The rows as ``json.dumps(self.to_lists())`` writes them, also
+        past the digits ``int`` writes to a string."""
+        rows = ("[" + ", ".join(map(format_decimal, row)) + "]" for row in self.rows)
+        return "[" + ", ".join(rows) + "]"
+
     def __repr__(self) -> str:
-        return f"IntMatrix({self.to_lists()!r})"
+        return f"IntMatrix({self.to_json()})"

@@ -197,6 +197,12 @@ def test_apply_cap_bounds_every_intermediate_word():
     assert e.apply(w(4, 1), cap=4) == w(4, 3, 3, 3, 4)
     with pytest.raises(ResourceLimitError):
         e.apply(w(4, 1, 1), cap=7)
+    # A one-letter word is read, not substituted, and its 4-letter image
+    # or that image's inverse still trips the cap.
+    with pytest.raises(ResourceLimitError):
+        e.apply(w(4, 1), cap=3)
+    with pytest.raises(ResourceLimitError):
+        e.apply(w(4, -1), cap=3)
 
 
 def test_constructor_accepts_closed_form_inverses():

@@ -25,7 +25,7 @@ from braidact import (
 )
 from braidact import _kernels, monoid
 from braidact.action import twist_table
-from braidact.braids import _artin_table
+from braidact.braids import _artin_generator, _artin_table
 from braidact.endo import DEFAULT_LENGTH_CAP, GeneratorTable
 from braidact.fold import ColumnImages, WordImages, fold, moved_columns
 from braidact.symplectic import random_braid
@@ -160,6 +160,33 @@ def test_artin_fold_reads_images_the_previous_letter_installed(inversions):
     for n in range(len(letters) + 1):
         assert table.automorphism(letters[:n]) == dense_word_composite(generator, 4, letters[:n])
     assert inversions
+
+
+def test_artin_fold_substitutes_once_per_crossing(monkeypatch):
+    # Each crossing moves two generators: one conjugation is substituted
+    # and x_{i+1} -> x_i or x_i -> x_{i+1} is read as the current image.
+    table = GeneratorTable(5, [_artin_generator(i) for i in range(1, 5)])
+    calls = []
+    substitute = _kernels.substitute
+    monkeypatch.setattr(
+        _kernels, "substitute", lambda *args: calls.append(args[2]) or substitute(*args)
+    )
+    braid = random_braid(random.Random(SEED), 5, 30)
+    action = table.automorphism(braid.letters)
+    assert len(braid.letters) > 20
+    assert len(calls) == len(braid.letters)
+    assert all(len(word) == 3 for word in calls)
+    assert action == artin_action(braid)
+
+
+def test_one_letter_action_inverts_its_image_once(inversions):
+    images = WordImages.of([(1, 2), (2,)], cap=2)
+    assert images.evaluate((-1,)) == images.evaluate((-1,)) == (-2, -1)
+    assert inversions == [(1, 2)]
+    images[0] = (1, 2, 1)
+    with pytest.raises(ResourceLimitError):
+        images.evaluate((-1,))
+    assert inversions == [(1, 2), (1, 2, 1)]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

@@ -1,10 +1,19 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidact import DimensionMismatchError, IntMatrix, NonUnimodularError
+from braidact import (
+    BraidWord,
+    DimensionMismatchError,
+    GenusContext,
+    IntMatrix,
+    NonUnimodularError,
+    braid_matrix,
+)
 
 
 def test_identity_and_multiplication():
@@ -59,6 +68,17 @@ def test_large_entries_stay_exact():
         m = m * a * b
     assert m.det() == 1  # Fibonacci-sized entries, no overflow
     assert m[0, 0] > 10**45
+
+
+def test_repr_writes_entries_of_any_length_as_str_does():
+    small = IntMatrix(((1, -2), (0, 10)))
+    assert repr(small) == "IntMatrix([[1, -2], [0, 10]])"
+    assert small.to_json() == json.dumps(small.to_lists())
+    m = braid_matrix(GenusContext(1), BraidWord(4, (1, -2) * 11000))
+    assert max(abs(x) for row in m.rows for x in row).bit_length() > 4300 * 10 // 3
+    text = repr(m)
+    assert text.startswith("IntMatrix([[") and text.endswith("]])")
+    assert re.findall(r"-?\d+", text) == re.findall(r"-?\d+", str(m))
 
 
 def test_identity_rejects_a_negative_size():
