@@ -24,6 +24,7 @@ a product of automorphisms is an ``Endomorphism``.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Sequence
 
 from . import _kernels
@@ -161,23 +162,25 @@ class GeneratorTable:
     moves, else NotInverseError names the first it does not.  One fold
     is enough: forward o backward = id makes forward onto, and a free
     group of finite rank is Hopfian, so forward is an automorphism and
-    backward is its inverse.
+    backward is its inverse.  ``moves``, letter -> moves, is read-only,
+    since cached tables are shared by every caller.
     """
 
     __slots__ = ("rank", "moves")
 
     def __init__(self, rank: int, pairs: Sequence[tuple[tuple, tuple]]):
         self.rank = rank
-        self.moves = {}
+        moves = {}
         for i, (forward, backward) in enumerate(pairs, 1):
-            self.moves[i] = forward
-            self.moves[-i] = backward
-            images = fold(WordImages(rank, DEFAULT_LENGTH_CAP), self.moves, (i, -i)).pos
+            moves[i] = forward
+            moves[-i] = backward
+            images = fold(WordImages(rank, DEFAULT_LENGTH_CAP), moves, (i, -i)).pos
             for k in sorted({k for k, _ in forward + backward}):
                 if images[k] != (k + 1,):
                     raise NotInverseError(
                         f"forward o backward does not fix generator {k + 1}", generator=k + 1
                     )
+        self.moves = MappingProxyType(moves)
 
     def automorphism(
         self, letters: tuple[int, ...], cap: int = DEFAULT_LENGTH_CAP

@@ -21,9 +21,9 @@ braid crossings sections the braid action on it.  Both read the ball
 from ``omega_ball``, one step per word on top of its prefix.  Its words
 are tuples of alphabet letters, not ``OmegaWord`` values, so none is
 checked or built.  Their images are positive words, so a step
-concatenates prefix images and never substitutes, reduces or inverts;
-and it appends the word's last letter to its block's run of the
-prefix's normal form instead of sorting the word.
+concatenates prefix images and never substitutes, reduces or inverts.
+Both key each word by ``_normal_letters``, the one sort by block, which
+``omega_normal_form`` calls too.
 
 Omega-word letters reuse the signed-integer convention: ``+k`` is the
 twist t_k, ``-k`` its inverse, so the braid lift is literally the same
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ._value import Word
 from .action import GenusContext, twist_automorphism, twist_table
@@ -142,28 +143,29 @@ def check_omega_alphabet(ctx: GenusContext) -> VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _blocks(g: int) -> dict[int, int]:
-    """Each omega letter's block: 0 for t_1 and t_2^-1, i for t_{2i}^-1
-    with 1 < i < g, and g for t_2g^-1 and t_{2g+1}.  Letters of different
-    blocks must commute, their twist indices differing by more than one."""
+def _blocks(g: int) -> Mapping[int, int]:
+    """Each omega letter's block, read-only: 0 for t_1 and t_2^-1, i for
+    t_{2i}^-1 with 1 < i < g, and g for t_2g^-1 and t_{2g+1}.  Letters of
+    different blocks must commute, their twist indices differing by more
+    than one."""
     if g < 2:
         raise MalformedWordError("the block normal form needs genus >= 2")
     blocks = {x: 0 if abs(x) <= 2 else abs(x) // 2 for x in omega_alphabet(g)}
     for x, y in itertools.combinations(blocks, 2):
         if blocks[x] != blocks[y] and abs(abs(x) - abs(y)) <= 1:
             raise BraidactError(f"non-commuting swap {x},{y} required; alphabet invariant broken")
-    return blocks
+    return MappingProxyType(blocks)
 
 
-def _normal_letters(g: int, letters: Iterable[int]) -> tuple[int, ...]:
-    """The letters of the normal form: ``letters`` stably sorted by block."""
-    return tuple(sorted(letters, key=_blocks(g).__getitem__))
+def _normal_letters(block: Callable[[int], int], letters: Iterable[int]) -> tuple[int, ...]:
+    """The letters of the normal form: ``letters`` stably sorted by ``block``."""
+    return tuple(sorted(letters, key=block))
 
 
 def omega_normal_form(word: OmegaWord) -> OmegaWord:
     """The normal form of an omega word, its letters stably sorted by
     block; the realized automorphism is checked to be unchanged."""
-    form = OmegaWord._wrap(word.g, _normal_letters(word.g, word.letters))
+    form = OmegaWord._wrap(word.g, _normal_letters(_blocks(word.g).__getitem__, word.letters))
     if form.automorphism() != word.automorphism():
         raise BraidactError("normal form changed the realized automorphism")
     return form
@@ -183,64 +185,55 @@ def omega_words(g: int, max_len: int) -> Iterator[tuple[int, ...]]:
 
 
 def omega_ball(g: int, max_len: int, cap: int = DEFAULT_LENGTH_CAP) -> Iterator[tuple]:
-    """Every omega word of length <= max_len as ``(letters, images, runs)``:
-    its letters, its generator images, and its normal form as one run
-    of letters per block (``_blocks``; genus >= 2).
+    """Every omega word of length <= max_len as ``(letters, images)``:
+    its letters and its generator images.
 
-    One state, the images and runs, is kept per depth, and a word's is
-    its prefix's with the last letter applied.  That letter's action is
-    positive and so are the prefix's images, so each image it moves is
-    the concatenation of the prefix images the action names: a step
-    concatenates and never substitutes, reduces or inverts.  The letter
-    then joins the end of its block's run, so no word is sorted.  The
-    actions are read from ``twist_table(g).moves`` on every call;
-    BraidactError if one is not positive, ResourceLimitError if an image
-    grows past ``cap`` letters.
+    One image tuple is kept per depth, and a word's is its prefix's with
+    the last letter applied.  That letter's action is positive and so
+    are the prefix's images, so each image it moves is the concatenation
+    of the prefix images the action names: a step concatenates and never
+    substitutes, reduces or inverts.  The actions are read from
+    ``twist_table(g).moves`` on every call; BraidactError if one is not
+    positive, ResourceLimitError if an image grows past ``cap`` letters.
     """
-    blocks = _blocks(g)
     moves = twist_table(g).moves
     steps = {}
-    for x, block in blocks.items():
+    for x in omega_alphabet(g):
         for k, action in moves[x]:
             if any(a < 0 for a in action):
                 raise BraidactError(
                     f"omega letter {x} maps generator {k + 1} to a non-positive word"
                 )
-        moved = tuple((k, tuple(a - 1 for a in action)) for k, action in moves[x])
-        steps[x] = (moved, max(block - 1, 0))
-    depth = [(tuple((k,) for k in range(1, 2 * g + 1)), ((),) * g)] * (max_len + 1)
+        steps[x] = tuple((k, tuple(a - 1 for a in action)) for k, action in moves[x])
+    depth = [tuple((k,) for k in range(1, 2 * g + 1))] * (max_len + 1)
     for letters in omega_words(g, max_len):
         n = len(letters)
         if n:
-            prefix, runs = depth[n - 1]
-            x = letters[-1]
-            moved, run = steps[x]
+            prefix = depth[n - 1]
             images = list(prefix)
-            for k, action in moved:
+            for k, action in steps[letters[-1]]:
                 image = ()
                 for a in action:
                     image += prefix[a]
                 if len(image) > cap:
                     raise ResourceLimitError(cap)
                 images[k] = image
-            runs = list(runs)
-            runs[run] += (x,)
-            depth[n] = (tuple(images), tuple(runs))
-        yield (letters, *depth[n])
+            depth[n] = tuple(images)
+        yield letters, depth[n]
 
 
 def _normal_forms(g: int, max_len: int) -> tuple[int, int, dict]:
     """One pass over the ball: the number of words, the number whose
-    images differ from the first word's of the same normal form, and
-    each normal form's letters mapped to that first word's images."""
+    images differ from the first word's of the same normal form
+    (``_normal_letters``), and each normal form mapped to that first
+    word's images."""
+    block = dict(_blocks(g)).__getitem__  # a dict's lookups sort faster than the proxy's
     forms: dict[tuple, tuple] = {}
     total = mismatches = 0
-    for _, images, runs in omega_ball(g, max_len):
+    for letters, images in omega_ball(g, max_len):
         total += 1
-        mismatches += forms.setdefault(runs, images) != images
-    return total, mismatches, {
-        tuple(itertools.chain.from_iterable(runs)): images for runs, images in forms.items()
-    }
+        mismatches += forms.setdefault(_normal_letters(block, letters), images) != images
+    return total, mismatches, forms
 
 
 def verify_normal_form_sweep(ctx: GenusContext, max_len: int) -> VerificationReport:
@@ -343,10 +336,11 @@ def verify_section(ctx: GenusContext, max_len: int) -> VerificationReport:
 
 # The suite enumerates every omega word of length up to max_len (the
 # normal-form sweep) and up to min(SECTION_MAX_LEN, max_len) (the
-# section), sum (g+2)^k words per ball at g+2 letters, about 3.4 us a
-# word: 1.1 million words (genus 8, --max-len 6) took 3.8 s in 22 MB
-# (2-vCPU x86_64 virtual machine, CPython 3.11).  `verify monoid` and
-# `verify all` refuse balls of more than MAX_BALL_WORDS words together.
+# section), sum (g+2)^k words per ball at g+2 letters, 2 to 4 us a
+# word: `verify monoid --genus 8 --max-len 6`, 1,122,222 words, took
+# 2.3-4.1 s in process with a 21 MB peak RSS (17 runs on a shared 2-vCPU
+# x86_64 virtual machine, CPython 3.11).  `verify monoid` and `verify
+# all` refuse balls of more than MAX_BALL_WORDS words together.
 MAX_BALL_WORDS = 2_000_000
 SECTION_MAX_LEN = 4
 

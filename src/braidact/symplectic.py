@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import _kernels
 from .action import GenusContext, twist_table
@@ -62,13 +63,13 @@ def is_symplectic(m: IntMatrix, g: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _twist_columns(g: int) -> dict:
-    """Fold table of the abelianized twists: each forward and backward
+def _twist_columns(g: int) -> Mapping[int, tuple]:
+    """Read-only fold table of the abelianized twists: each forward and backward
     move of ``twist_table(g)``, its image word abelianized to a column."""
-    return {
+    return MappingProxyType({
         x: moved_columns((k, FreeWord(2 * g, word).abelianized()) for k, word in moves)
         for x, moves in twist_table(g).moves.items()
-    }
+    })
 
 
 def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:

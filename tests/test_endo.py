@@ -18,7 +18,7 @@ from braidact import (
     sturmian_g1,
     twist_automorphism,
 )
-from braidact import _kernels
+from braidact import _kernels, monoid, symplectic
 from braidact.action import twist_table
 from braidact.braids import _artin_table
 from braidact.endo import GeneratorTable
@@ -262,6 +262,23 @@ def test_table_set_up_grows_with_the_moves(monkeypatch):
         table = build.__wrapped__(size)  # a fresh table, past the cache
         assert len(table.moves) == 2 * generators
         assert 0 < len(calls) <= 4 * generators
+
+
+@pytest.mark.parametrize("table", [
+    lambda: twist_table(2).moves,
+    lambda: _artin_table(4).moves,
+    lambda: symplectic._twist_columns(2),
+    lambda: monoid._blocks(2),
+], ids=["twist_table", "_artin_table", "_twist_columns", "_blocks"])
+def test_cached_tables_refuse_writes(table):
+    """The cached tables are shared by every later call, so none takes a write."""
+    moves = table()
+    before = dict(moves)
+    with pytest.raises(TypeError):
+        moves[1] = moves[-2]
+    with pytest.raises(TypeError):
+        del moves[1]
+    assert dict(table()) == before
 
 
 def test_abelianization_matrix_examples():

@@ -1,13 +1,27 @@
+import copy
 import itertools
 import random
+from types import MappingProxyType
 
 import pytest
 
 from braidact import GenusContext, IntMatrix, MalformedWordError, WordSyntaxError, twist_automorphism
-from braidact import cli, endo, monoid, symplectic
+from braidact import action, cli, endo, monoid, symplectic
 from braidact.action import twist_table
 from braidact.errors import BraidactError, ResourceLimitError
 from braidact.monoid import OmegaWord, format_omega, omega_normal_form, parse_omega
+
+
+def act_as(monkeypatch, g, letter, other):
+    """Make ``letter`` act as ``other`` in a copy of ``twist_table(g)``,
+    patched in where the code reads the table: ``monoid.twist_table``, and
+    ``action.twist_table`` for ``twist_automorphism``.  The cached table
+    stays as it is, and the copy is not rebuilt as a ``GeneratorTable``,
+    which would refuse a mutant that is not an inverse pair."""
+    table = copy.copy(twist_table(g))
+    table.moves = MappingProxyType({**table.moves, letter: table.moves[other]})
+    for module in (action, monoid):
+        monkeypatch.setattr(module, "twist_table", lambda _g: table)
 
 
 def test_positivity_of_individual_twists():
@@ -27,8 +41,7 @@ def test_alphabet_report_at_small_genera():
 
 
 def test_alphabet_report_formats_only_the_failing_map(monkeypatch):
-    moves = twist_table(2).moves
-    monkeypatch.setitem(moves, 1, moves[3])  # t_1 now acts as t_3, which is not positive
+    act_as(monkeypatch, 2, 1, 3)  # t_1 now acts as t_3, which is not positive
     formatted = []
     format_endomorphism = endo.format_endomorphism
     monkeypatch.setattr(
@@ -172,15 +185,13 @@ def test_section_single_letters_at_genus_three():
 
 
 def test_ball_images_match_the_word_automorphisms():
-    """The prefix-shared fold and runs against a fresh fold and sort of
-    every word."""
+    """The prefix-shared fold against a fresh fold of every word."""
     for g, max_len in ((2, 5), (3, 4), (4, 3)):
         words = 0
-        for letters, images, runs in monoid.omega_ball(g, max_len):
+        for letters, images in monoid.omega_ball(g, max_len):
             words += 1
             automorphism = twist_table(g).automorphism(letters)
             assert images == tuple(w.letters for w in automorphism.images), letters
-            assert tuple(itertools.chain.from_iterable(runs)) == monoid._normal_letters(g, letters)
         assert words == sum((g + 2) ** n for n in range(max_len + 1))
 
 
@@ -204,11 +215,20 @@ def test_ball_fold_trips_the_length_cap():
 
 
 def test_section_fails_when_two_forms_act_alike(monkeypatch):
-    moves = twist_table(2).moves
-    monkeypatch.setitem(moves, -4, moves[-2])  # t_4^-1 now acts as t_2^-1
+    act_as(monkeypatch, 2, -4, -2)  # t_4^-1 now acts as t_2^-1
     (check,) = monoid.verify_section(GenusContext(2), 2).checks
     assert check.status == "fail"
     assert "U2 = U4" in check.witness["left"].split("; ")
+
+
+def test_sweep_fails_when_one_form_acts_two_ways(monkeypatch):
+    # t_4^-1 acting as t_2^-1 no longer commutes with t_1, so U4 u1 and
+    # u1 U4, of one normal form, act differently.
+    act_as(monkeypatch, 2, -4, -2)
+    (check,) = monoid.verify_normal_form_sweep(GenusContext(2), 4).checks
+    assert check.status == "fail"
+    count, word = check.witness["left"].split(" ")
+    assert word == "failures" and int(count) > 0
 
 
 def test_block_table_rejects_non_commuting_blocks(monkeypatch):
@@ -237,38 +257,9 @@ def test_generated_omega_words_equal_checked_ones():
     for letters in words:
         form = omega_normal_form(OmegaWord(3, letters))
         assert type(form) is OmegaWord and form.g == 3
-        assert form.letters == monoid._normal_letters(3, letters)
+        assert form.letters == monoid._normal_letters(monoid._blocks(3).__getitem__, letters)
     # The checked constructor still rejects a letter outside the alphabet:
     # test_omega_alphabet_letters pins OmegaWord(2, (3,)).
-
-
-def sorted_normal_forms(g, max_len):
-    """The sweep by sorting every word: ``omega_ball`` builds each
-    word's runs from its prefix instead."""
-    forms = {}
-    total = mismatches = 0
-    for letters, images, _ in monoid.omega_ball(g, max_len):
-        total += 1
-        mismatches += forms.setdefault(monoid._normal_letters(g, letters), images) != images
-    return total, mismatches, forms
-
-
-def in_order(total, mismatches, forms):
-    return total, mismatches, list(forms.items())
-
-
-@pytest.mark.parametrize("g, max_len", [(2, 5), (3, 4), (4, 3)])
-def test_normal_forms_match_a_sort_of_every_word(g, max_len):
-    expected = in_order(*sorted_normal_forms(g, max_len))
-    assert in_order(*monoid._normal_forms(g, max_len)) == expected
-
-
-def test_normal_forms_match_a_sort_of_every_word_under_a_collision(monkeypatch):
-    moves = twist_table(2).moves
-    monkeypatch.setitem(moves, -4, moves[-2])  # as in the section's failing case
-    expected = in_order(*sorted_normal_forms(2, 4))
-    assert expected[1] > 0
-    assert in_order(*monoid._normal_forms(2, 4)) == expected
 
 
 @pytest.mark.parametrize("g, cap", [(2, 3), (3, 4)])
@@ -285,13 +276,12 @@ def test_ball_trips_the_cap_on_the_first_word_whose_fold_does(g, cap):
     assert len(words[first]) > 1
     yielded = []
     with pytest.raises(ResourceLimitError):
-        for letters, _, _ in monoid.omega_ball(g, 4, cap):
+        for letters, _ in monoid.omega_ball(g, 4, cap):
             yielded.append(letters)
     assert yielded == words[:first]
 
 
 def test_ball_rejects_a_non_positive_action(monkeypatch):
-    moves = twist_table(2).moves
-    monkeypatch.setitem(moves, -4, moves[3])  # the interior odd twist t_3
+    act_as(monkeypatch, 2, -4, 3)  # the interior odd twist t_3
     with pytest.raises(BraidactError, match="non-positive"):
         list(monoid.omega_ball(2, 2))
