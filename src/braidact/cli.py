@@ -34,9 +34,10 @@ from .symplectic import DEFAULT_SEED, braid_matrix
 from .words import format_word, parse_word
 
 # `apply`, `matrix` and `verify` build the 2g+1 twists of the genus from
-# their sparse moves, one length-2g column per move (a fresh `matrix 1
-# --genus 32` takes 0.14 s in 16 MB), but `verify symplectic` multiplies
-# 500 dense 2g x 2g matrices, cubic in --genus: on 2 vCPUs, `verify all
+# their sparse moves, one table that both the word and the matrix folds
+# read (a fresh `matrix 1 --genus 32 --json` takes 0.084 s, the median of
+# 8 runs, in 15 MB), but `verify symplectic` multiplies 500 dense 2g x 2g
+# matrices, cubic in --genus: on 2 vCPUs, `verify all
 # --genus 32 --max-len 3` took 12.1 to 13.9 s (median 13.2 s of 5 runs)
 # in 25 MB, and `verify monoid --genus 2000 --max-len 0` did not finish
 # in two minutes.  (`verify sp4` ignores --genus.)

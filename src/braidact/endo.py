@@ -163,13 +163,14 @@ class GeneratorTable:
     is enough: forward o backward = id makes forward onto, and a free
     group of finite rank is Hopfian, so forward is an automorphism and
     backward is its inverse.  ``moves``, letter -> moves, is read-only,
-    since cached tables are shared by every caller.
+    and so are the table's attributes, since cached tables are shared by
+    every caller; ``__init__`` sets them with ``object.__setattr__``.
     """
 
     __slots__ = ("rank", "moves")
 
     def __init__(self, rank: int, pairs: Sequence[tuple[tuple, tuple]]):
-        self.rank = rank
+        object.__setattr__(self, "rank", rank)
         moves = {}
         for i, (forward, backward) in enumerate(pairs, 1):
             moves[i] = forward
@@ -180,7 +181,13 @@ class GeneratorTable:
                     raise NotInverseError(
                         f"forward o backward does not fix generator {k + 1}", generator=k + 1
                     )
-        self.moves = MappingProxyType(moves)
+        object.__setattr__(self, "moves", MappingProxyType(moves))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to table attribute {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete table attribute {name!r}")
 
     def automorphism(
         self, letters: tuple[int, ...], cap: int = DEFAULT_LENGTH_CAP

@@ -24,24 +24,23 @@ The same loop serves two kinds of image:
   on first read: only when a later step's action reads its generator
   inverted.  ``Endomorphism`` evaluates ``apply`` and ``*`` on one too;
 - ``ColumnImages``: integer column vectors, where a step replaces the
-  moved columns with integer combinations of the current ones (the
-  matrix shadow).  ``moved_columns`` keeps the moved ``(k, column)``
-  pairs of the twist moves abelianized.
+  moved columns with the sum of the current columns its word's letters
+  name (the matrix shadow).  It reads the same table as ``WordImages``:
+  a word's abelianization is that signed sum of columns.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul, sub
-from typing import Iterable, Mapping, Sequence
+from operator import add, neg, sub
+from typing import Mapping, Sequence
 
 from . import _kernels
 from .errors import ResourceLimitError
 
-# A table maps a signed letter to the (0-based index, action) pairs of
-# the generators it moves.
-Moves = Mapping[int, tuple[tuple[int, object], ...]]
+# A table maps a signed letter to the (0-based index, reduced letter
+# word) pairs of the generators it moves.
+Moves = Mapping[int, tuple[tuple[int, tuple[int, ...]], ...]]
 
 
 def fold(images, moves: Moves, letters: Sequence[int]):
@@ -127,13 +126,12 @@ def _identity_columns(n: int) -> tuple[tuple[int, ...], ...]:
 class ColumnImages:
     """Integer column vectors, one per basis vector, from the identity.
 
-    An action is a tuple of ``(k, coefficient)`` pairs; evaluating it
-    gives that integer combination of the current columns, so every
-    entry is an ``int``.  The first term's column, times its
-    coefficient, starts the sum; each further term is folded in with one
-    C-level ``map``: a +-1 term adds or subtracts its column, and only a
-    coefficient of any other size scales the column first (no twist
-    table has one).  The empty combination is the zero column.
+    An action is a reduced letter word, as ``WordImages`` reads it;
+    evaluating it gives its abelianization over the current columns, so
+    every entry is an ``int``.  The first letter's column, negated for an
+    inverse letter, starts the sum; each further letter +k adds column k
+    and -k subtracts it, with one C-level ``map``.  The empty word is the
+    zero column.
     """
 
     __slots__ = ("columns",)
@@ -141,31 +139,18 @@ class ColumnImages:
     def __init__(self, n: int):
         self.columns = list(_identity_columns(n))
 
-    def evaluate(self, combination: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    def evaluate(self, word: tuple[int, ...]) -> tuple[int, ...]:
         columns = self.columns
-        if not combination:
+        if not word:
             return (0,) * len(columns)
-        k, c = combination[0]
-        acc = columns[k] if c == 1 else tuple(map(mul, repeat(c), columns[k]))
-        for k, c in combination[1:]:
-            if c == 1:
-                acc = tuple(map(add, acc, columns[k]))
-            elif c == -1:
-                acc = tuple(map(sub, acc, columns[k]))
+        x = word[0]
+        acc = columns[x - 1] if x > 0 else tuple(map(neg, columns[-x - 1]))
+        for x in word[1:]:
+            if x > 0:
+                acc = tuple(map(add, acc, columns[x - 1]))
             else:
-                acc = tuple(map(add, acc, map(mul, repeat(c), columns[k])))
+                acc = tuple(map(sub, acc, columns[-x - 1]))
         return acc
 
     def __setitem__(self, k: int, column: tuple[int, ...]) -> None:
         self.columns[k] = column
-
-
-def moved_columns(
-    columns: Iterable[tuple[int, Sequence[int]]],
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The ``(k, combination)`` entries of the ``(k, column)`` pairs whose column is not e_k."""
-    return tuple(
-        (k, tuple((i, x) for i, x in enumerate(col) if x))
-        for k, col in columns
-        if any(x != int(i == k) for i, x in enumerate(col))
-    )

@@ -7,30 +7,30 @@ alternating form <a_i, b_i> = -<b_i, a_i> = 1, i.e. lands in Sp_2g(Z):
 into Sp_2g(Z)) and ``is_symplectic`` is the exact membership test
 M^T J M = J for the block form J = [[0, I], [-I, 0]].
 
-Every matrix word goes through one fold (``braidact.fold``) over one
-table per genus, the moves of ``twist_table`` abelianized (transvections
-moving one or two columns); ``braid_matrix``, the one column fold,
-recomputes only the columns each letter moves.  Recorded matrices, such as the genus-1 pair (A, B)
-that ``checked_sl2_matrices`` returns, are checked by ``check_images``
-to be the images of their braids before anything reads them, and their
-words are then folded as braid words.
+Every matrix word goes through one fold (``braidact.fold``) over the
+moves of ``twist_table``, the table the word action folds: read by
+``ColumnImages``, each move's image word is the signed sum of the
+columns it names, so each letter is a transvection moving one or two
+columns.  ``braid_matrix``, the one column fold, recomputes only the
+columns each letter moves.  Recorded matrices, such as the genus-1 pair
+(A, B) that ``checked_sl2_matrices`` returns, are checked by
+``check_images`` to be the images of their braids before anything reads
+them, and their words are then folded as braid words.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import _kernels
 from .action import GenusContext, twist_table
 from .braids import BraidWord
 from .errors import BraidactError, DimensionMismatchError
-from .fold import ColumnImages, fold, moved_columns
+from .fold import ColumnImages, fold
 from .matrices import IntMatrix
 from .report import VerificationReport, equal, merge_reports, over_cases, run_checks
-from .words import FreeWord
 
 
 @lru_cache(maxsize=None)
@@ -62,25 +62,17 @@ def is_symplectic(m: IntMatrix, g: int) -> bool:
     return m.transpose() * _form_times(m, g) == standard_form(g)
 
 
-@lru_cache(maxsize=None)
-def _twist_columns(g: int) -> Mapping[int, tuple]:
-    """Read-only fold table of the abelianized twists: each forward and backward
-    move of ``twist_table(g)``, its image word abelianized to a column."""
-    return MappingProxyType({
-        x: moved_columns((k, FreeWord(2 * g, word).abelianized()) for k, word in moves)
-        for x, moves in twist_table(g).moves.items()
-    })
-
-
 def braid_matrix(ctx: GenusContext, braid: BraidWord) -> IntMatrix:
     """Abelianized image of a braid word: a matrix in Sp_2g(Z).
 
     Functorially equal to abelianizing the braid's automorphism, and to
-    the product of the generator matrices, folded over the twist table.
-    The fold's columns are integer combinations of identity columns, so
-    the matrix adopts them unchecked.
+    the product of the generator matrices: ``ColumnImages`` folds the
+    moves of ``twist_table(ctx.g)``, the table ``braid_automorphism``
+    folds, abelianizing each image word as it goes.  The fold's columns
+    are integer combinations of identity columns, so the matrix adopts
+    them unchecked.
     """
-    images = fold(ColumnImages(ctx.rank), _twist_columns(ctx.g), ctx.crossings(braid))
+    images = fold(ColumnImages(ctx.rank), twist_table(ctx.g).moves, ctx.crossings(braid))
     return IntMatrix._wrap(tuple(zip(*images.columns)))
 
 

@@ -281,19 +281,19 @@ def test_verify_balls_over_budget_exit_3_before_any_enumeration(capsys, monkeypa
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Replace the twist tables' two builders, at every binding, with a
-    stub that records the genus it was asked for and stops the command."""
+    """Replace the twist table's builder, at every binding, with a stub
+    that records the genus it was asked for and stops the command."""
     builds = []
 
     def refuse(g):
         builds.append(g)
         raise AssertionError(f"twist tables built at genus {g}")
 
-    for original in (action.twist_table, symplectic._twist_columns):
-        for module in (action, cli, monoid, symplectic):
-            for name, value in vars(module).items():
-                if value is original:
-                    monkeypatch.setattr(module, name, refuse)
+    original = action.twist_table
+    for module in (action, cli, monoid, symplectic):
+        for name, value in vars(module).items():
+            if value is original:
+                monkeypatch.setattr(module, name, refuse)
     return builds
 
 
@@ -415,7 +415,7 @@ command_lines = st.one_of(
 BUILDERS = (
     (action, "twist_table"),
     (cli, "twist_table"),
-    (symplectic, "_twist_columns"),
+    (symplectic, "twist_table"),
     (braids, "_artin_table"),
     (monoid, "omega_ball"),
 )

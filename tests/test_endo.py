@@ -18,7 +18,7 @@ from braidact import (
     sturmian_g1,
     twist_automorphism,
 )
-from braidact import _kernels, monoid, symplectic
+from braidact import _kernels, monoid
 from braidact.action import twist_table
 from braidact.braids import _artin_table
 from braidact.endo import GeneratorTable
@@ -264,21 +264,45 @@ def test_table_set_up_grows_with_the_moves(monkeypatch):
         assert 0 < len(calls) <= 4 * generators
 
 
-@pytest.mark.parametrize("table", [
-    lambda: twist_table(2).moves,
-    lambda: _artin_table(4).moves,
-    lambda: symplectic._twist_columns(2),
-    lambda: monoid._blocks(2),
-], ids=["twist_table", "_artin_table", "_twist_columns", "_blocks"])
-def test_cached_tables_refuse_writes(table):
-    """The cached tables are shared by every later call, so none takes a write."""
-    moves = table()
-    before = dict(moves)
+def write_items(moves):
     with pytest.raises(TypeError):
         moves[1] = moves[-2]
     with pytest.raises(TypeError):
         del moves[1]
-    assert dict(table()) == before
+
+
+def write_attributes(table):
+    # The write that would make every later t_1 act as t_3.
+    with pytest.raises(AttributeError):
+        table.moves = {**table.moves, 1: table.moves[3]}
+    with pytest.raises(AttributeError):
+        table.rank = table.rank + 1
+    for name in ("moves", "rank"):
+        with pytest.raises(AttributeError):
+            delattr(table, name)
+
+
+def contents(shared):
+    """A generator table's rank and moves, or a mapping's items."""
+    if isinstance(shared, GeneratorTable):
+        return shared.rank, dict(shared.moves)
+    return dict(shared)
+
+
+@pytest.mark.parametrize("table, write", [
+    (lambda: twist_table(2).moves, write_items),
+    (lambda: _artin_table(4).moves, write_items),
+    (lambda: monoid._blocks(2), write_items),
+    (lambda: twist_table(2), write_attributes),
+    (lambda: _artin_table(4), write_attributes),
+], ids=["twist_table", "_artin_table", "_blocks", "twist_table-attributes", "_artin_table-attributes"])
+def test_cached_tables_refuse_writes(table, write):
+    """The cached tables are shared by every later call, so none takes a
+    write: not into a mapping, nor to a generator table's attributes."""
+    shared = table()
+    before = contents(shared)
+    write(shared)
+    assert contents(table()) == before
 
 
 def test_abelianization_matrix_examples():

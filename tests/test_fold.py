@@ -27,7 +27,7 @@ from braidact import _kernels, monoid
 from braidact.action import twist_table
 from braidact.braids import _artin_generator, _artin_table
 from braidact.endo import DEFAULT_LENGTH_CAP, GeneratorTable
-from braidact.fold import ColumnImages, WordImages, fold, moved_columns
+from braidact.fold import ColumnImages, WordImages, fold
 from braidact.symplectic import random_braid
 
 SEED = 0xF01D
@@ -208,46 +208,55 @@ def test_folded_endomorphism_applies_like_eagerly_inverted_images(g):
         assert dense_word_composite(generator, ctx.rank, braid.letters).apply(word).letters == eager
 
 
-# Hand-made column tables, by columns.  Letters 1 and 2 move columns to
-# combinations of two and three terms with coefficients +-1, +-2 and 3;
-# letter 3 is singular: it sends column 2 to zero and column 0 to column 1.
+# Hand-made column tables, by columns, and the letter words that move
+# them.  Letters 1 and 2 move columns to sums of two and three terms with
+# coefficients +-1, +-2 and 3, each a repeated letter, and letter 2's
+# second word starts with an inverse letter; letter 3 is singular: it
+# sends column 2 to zero, the empty word, and column 0 to column 1.
 HAND_COLUMNS = {
     1: ((2, -1, 0, 1), (0, 1, 0, 0), (0, 1, -2, 1), (0, 0, 0, 1)),
     2: ((1, 0, 0, 0), (-2, 1, 1, 0), (0, 0, 1, 0), (1, 0, 3, -1)),
     3: ((0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (-1, 0, 2, 1)),
+}
+HAND_WORDS = {
+    1: ((0, (1, 1, -2, 4)), (2, (2, -3, -3, 4))),
+    2: ((1, (-1, -1, 2, 3)), (3, (1, 3, 3, 3, -4))),
+    3: ((0, (2,)), (2, ()), (3, (-1, 3, 3, 4))),
 }
 
 
 @pytest.mark.parametrize("letters", [(1, 2), (1, 2, 3), (3,), (2, 3, 3, 1)])
 def test_column_fold_matches_dense_product_of_hand_table(letters):
     rng = random.Random(SEED + len(letters))
-    table = {x: moved_columns(enumerate(cols)) for x, cols in HAND_COLUMNS.items()}
-    assert any(not combination for _, combination in table[3])
-    assert any(c not in (1, -1) for _, comb in table[1] for _, c in comb)
-    assert any(len(comb) == 3 for _, comb in table[2])
+    for x, moves in HAND_WORDS.items():
+        columns = dict(enumerate(IntMatrix.identity(4).rows))
+        columns.update((k, FreeWord(4, word).abelianized()) for k, word in moves)
+        assert tuple(columns.values()) == HAND_COLUMNS[x]
+    assert any(not word for _, word in HAND_WORDS[3])
+    assert any(len(set(word)) < len(word) for _, word in HAND_WORDS[1])
+    assert any(len(set(map(abs, word))) == 3 for _, word in HAND_WORDS[2])
     for word in [letters] + [tuple(rng.choice((1, 2, 3)) for _ in range(7)) for _ in range(20)]:
         dense = IntMatrix.identity(4)
         for x in word:
             dense = dense * IntMatrix(zip(*HAND_COLUMNS[x]))
-        images = fold(ColumnImages(4), table, word)
+        images = fold(ColumnImages(4), HAND_WORDS, word)
         assert IntMatrix(zip(*images.columns)) == dense
 
 
 def test_empty_combination_is_the_zero_column():
     images = ColumnImages(3)
     assert images.evaluate(()) == (0, 0, 0)
-    assert images.evaluate(((1, 1),)) == (0, 1, 0)
-    assert images.evaluate(((0, -1), (2, 2))) == (-1, 0, 2)
+    assert images.evaluate((2,)) == (0, 1, 0)
+    assert images.evaluate((-1, 3, 3)) == (-1, 0, 2)
 
 
 def test_two_move_step_evaluates_both_images_before_installing_either():
     # Letter 1 swaps the two generators, so each moved image reads the
     # other's: installing the first before evaluating the second would
     # copy one generator into both.
-    words = {1: moved_words(((2,), (1,)))}
-    columns = {1: moved_columns(enumerate(((0, 1), (1, 0))))}
-    assert len(words[1]) == len(columns[1]) == 2
-    assert fold(WordImages(2, 10), words, (1,)).pos == [(2,), (1,)]
-    assert fold(WordImages(2, 10), words, (1, 1)).pos == [(1,), (2,)]
-    assert fold(ColumnImages(2), columns, (1,)).columns == [(0, 1), (1, 0)]
-    assert fold(ColumnImages(2), columns, (1, 1)).columns == [(1, 0), (0, 1)]
+    table = {1: moved_words(((2,), (1,)))}
+    assert len(table[1]) == 2
+    assert fold(WordImages(2, 10), table, (1,)).pos == [(2,), (1,)]
+    assert fold(WordImages(2, 10), table, (1, 1)).pos == [(1,), (2,)]
+    assert fold(ColumnImages(2), table, (1,)).columns == [(0, 1), (1, 0)]
+    assert fold(ColumnImages(2), table, (1, 1)).columns == [(1, 0), (0, 1)]

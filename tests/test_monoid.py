@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 from types import MappingProxyType
@@ -8,6 +7,7 @@ import pytest
 from braidact import GenusContext, IntMatrix, MalformedWordError, WordSyntaxError, twist_automorphism
 from braidact import action, cli, endo, monoid, symplectic
 from braidact.action import twist_table
+from braidact.endo import GeneratorTable
 from braidact.errors import BraidactError, ResourceLimitError
 from braidact.monoid import OmegaWord, format_omega, omega_normal_form, parse_omega
 
@@ -17,9 +17,14 @@ def act_as(monkeypatch, g, letter, other):
     patched in where the code reads the table: ``monoid.twist_table``, and
     ``action.twist_table`` for ``twist_automorphism``.  The cached table
     stays as it is, and the copy is not rebuilt as a ``GeneratorTable``,
-    which would refuse a mutant that is not an inverse pair."""
-    table = copy.copy(twist_table(g))
-    table.moves = MappingProxyType({**table.moves, letter: table.moves[other]})
+    which would refuse a mutant that is not an inverse pair: its fields
+    are set with ``object.__setattr__``, as a table refuses writes."""
+    original = twist_table(g)
+    table = object.__new__(GeneratorTable)
+    object.__setattr__(table, "rank", original.rank)
+    object.__setattr__(
+        table, "moves", MappingProxyType({**original.moves, letter: original.moves[other]})
+    )
     for module in (action, monoid):
         monkeypatch.setattr(module, "twist_table", lambda _g: table)
 

@@ -17,10 +17,9 @@ from braidact import (
     verify_symplectic_generators,
 )
 from braidact import cli, symplectic
-from braidact.endo import Endomorphism
-from braidact.fold import ColumnImages, fold, moved_columns
+from braidact.action import twist_table
+from braidact.fold import ColumnImages, fold
 from braidact.symplectic import (
-    _twist_columns,
     random_braid,
     verify_sl2_braid_relation,
     verify_symplectic_random,
@@ -178,42 +177,31 @@ def test_braid_matrix_adopts_the_fold_columns_as_exact_ints(g):
     for _ in range(10):
         braid = random_braid(rng, ctx.strands, rng.randrange(30))
         m = braid_matrix(ctx, braid)
-        columns = fold(ColumnImages(ctx.rank), _twist_columns(g), braid.letters).columns
+        columns = fold(ColumnImages(ctx.rank), twist_table(g).moves, braid.letters).columns
         assert m == IntMatrix(zip(*columns))
         assert_exact(m)
 
 
 @pytest.mark.parametrize("g", range(1, 9))
 def test_twist_columns_match_the_dense_twist_matrices(g):
-    """The table abelianizes the twist moves; it equals the one read off
-    each abelianized twist automorphism and its adjugate inverse."""
+    """Folding the twist table's moves as columns gives each abelianized
+    twist automorphism, and its adjugate inverse for the inverse letter."""
     ctx = GenusContext(g)
-    dense = {}
     for i in range(1, ctx.strands):
         m = twist_automorphism(ctx, i).abelianization_matrix()
-        dense[i] = moved_columns(enumerate(zip(*m.rows)))
-        dense[-i] = moved_columns(enumerate(zip(*m.inverse().rows)))
-    assert _twist_columns(g) == dense
-    assert all(1 <= len(moves) <= 2 for moves in dense.values())
+        assert braid_matrix(ctx, BraidWord(ctx.strands, (i,))) == m
+        assert braid_matrix(ctx, BraidWord(ctx.strands, (-i,))) == m.inverse()
+    assert all(1 <= len(moves) <= 2 for moves in twist_table(g).moves.values())
 
 
 @pytest.mark.parametrize("g", range(1, 9))
 def test_each_twist_column_step_is_undone_by_its_inverse(g):
-    table, n, count = _twist_columns(g), 2 * g, 2 * g + 1
+    table, n, count = twist_table(g).moves, 2 * g, 2 * g + 1
     assert set(table) == {s * i for i in range(1, count + 1) for s in (1, -1)}
     for i in range(1, count + 1):
         for letters in ((i, -i), (-i, i)):
             columns = fold(ColumnImages(n), table, letters).columns
             assert IntMatrix(zip(*columns)) == IntMatrix.identity(n), letters
-
-
-def test_twist_columns_are_built_without_a_dense_matrix(monkeypatch):
-    def dense(*args):
-        raise AssertionError("a dense matrix was built")
-
-    monkeypatch.setattr(Endomorphism, "abelianization_matrix", dense)
-    monkeypatch.setattr(IntMatrix, "inverse", dense)
-    assert _twist_columns.__wrapped__(5) == _twist_columns(5)
 
 
 def assert_exact(m):
